@@ -132,11 +132,14 @@ pub enum Stage {
     LoopStall = 10,
     /// A request that crossed the `SSSJ_SLOW_MS` threshold (instant).
     SlowRequest = 11,
+    /// Recovery cut a torn WAL tail (instant): the cut segment's first
+    /// sequence number in `a`, the bytes kept of it in `b`.
+    WalTornTail = 12,
 }
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 13] = [
         Stage::Ingest,
         Stage::Candidates,
         Stage::RouterFlush,
@@ -149,6 +152,7 @@ impl Stage {
         Stage::NetRequest,
         Stage::LoopStall,
         Stage::SlowRequest,
+        Stage::WalTornTail,
     ];
 
     /// The stage's wire token / Chrome-trace event name.
@@ -166,6 +170,7 @@ impl Stage {
             Stage::NetRequest => "net.request",
             Stage::LoopStall => "loop.stall",
             Stage::SlowRequest => "slow.request",
+            Stage::WalTornTail => "wal.torn_tail",
         }
     }
 

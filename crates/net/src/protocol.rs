@@ -72,6 +72,7 @@
 //!                | "shard.record" | "wal.append" | "wal.fsync"
 //!                | "checkpoint" | "graph.publish" | "segment.compaction"
 //!                | "net.request" | "loop.stall" | "slow.request"
+//!                | "wal.torn_tail"
 //! kind          := "X" (complete span, dur_ns > 0 possible)
 //!                | "i" (instant, dur_ns = 0)
 //! ```

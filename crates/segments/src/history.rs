@@ -5,10 +5,17 @@
 //!
 //! * **WAL horizon GC** — `sssj-store` retires a sealed WAL segment
 //!   once a checkpoint covers it and its newest record is behind the
-//!   horizon. Instead of deleting, the compactor re-frames it as an
-//!   immutable record segment, publishes the manifest, and only *then*
-//!   removes the WAL file. A crash at any point leaves the records in
-//!   at least one of the two homes, never neither.
+//!   horizon. Instead of deleting, the compactor *validates and
+//!   copies* it: the file is read once, every frame is checked by the
+//!   WAL's own walker (length bounds, CRC-32C, payload structure,
+//!   timestamp order) and counted against the WAL's metadata, and the
+//!   validated bytes — never decoded — become the body of an immutable
+//!   record segment. Then the manifest is published, and only *then*
+//!   is the WAL file removed. A segment that fails a check is refused
+//!   and stays in the WAL. The crash argument does not care how the
+//!   body was produced, only about the order publish → catalog →
+//!   unlink, which is unchanged: a crash at any point leaves the
+//!   records in at least one of the two homes, never neither.
 //! * **Graph expiry** — edges the live [`sssj_graph::SimilarityGraph`]
 //!   drops at `now − τ` are queued here and flushed as a sorted,
 //!   bloom-indexed edge segment right before every checkpoint publish
@@ -27,10 +34,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use sssj_graph::{ExpiredEdge, GraphHandle};
 use sssj_metrics::registry::{Counter, Gauge, Recorder, Registry};
-use sssj_store::wal;
+use sssj_store::wal::SealedSegment;
 use sssj_store::RetiredSegment;
 use sssj_types::StreamRecord;
 
@@ -49,6 +57,7 @@ struct HistoryMetrics {
     segments: &'static Gauge,
     bytes: &'static Gauge,
     scan_depth: &'static Recorder,
+    compaction_seconds: &'static Recorder,
 }
 
 fn history_metrics() -> &'static HistoryMetrics {
@@ -75,6 +84,10 @@ fn history_metrics() -> &'static HistoryMetrics {
             scan_depth: reg.recorder(
                 "sssj_segments_scan_depth",
                 "edge segments overlapping a time-travel query's window",
+            ),
+            compaction_seconds: reg.recorder(
+                "sssj_segments_compaction_seconds",
+                "wall time of one WAL-segment compaction or edge-queue flush",
             ),
         }
     })
@@ -270,7 +283,13 @@ impl HistoryStore {
         if self.pending.is_empty() {
             return Ok(());
         }
+        let started = Instant::now();
         let seq = self.next_edge_seq;
+        let _span = sssj_metrics::trace::span_with(
+            sssj_metrics::trace::Stage::Compaction,
+            seq,
+            self.pending.len() as u64,
+        );
         self.step()?;
         write_edge_segment(&self.dir, seq, &self.pending, self.fsync)?;
         self.step()?;
@@ -287,40 +306,60 @@ impl HistoryStore {
         }
         self.pending.clear();
         self.flushes += 1;
-        history_metrics().flushes.inc();
+        let m = history_metrics();
+        m.flushes.inc();
+        m.compaction_seconds.record_duration(started.elapsed());
         self.publish_catalog_gauges();
         Ok(())
     }
 
-    /// Compacts one retired WAL segment into a record segment, then —
-    /// only after the manifest flip — deletes the WAL file. Re-runs
-    /// after a crash in any window are idempotent.
+    /// Compacts one retired WAL segment into a record segment by
+    /// *validate-and-copy*, then — only after the manifest flip —
+    /// deletes the WAL file. The sealed file is read once and every
+    /// frame checked ([`SealedSegment::read`]: length bounds, CRC-32C,
+    /// payload structure, timestamp order) plus the record count
+    /// against the WAL's metadata; a segment failing any of it is
+    /// refused and stays in the WAL. The validated bytes become the
+    /// record segment's body as they are. Re-runs after a crash in any
+    /// window are idempotent.
     pub fn compact_wal_segment(&mut self, seg: &RetiredSegment) -> io::Result<()> {
+        let started = Instant::now();
         let _span = sssj_metrics::trace::span_with(
             sssj_metrics::trace::Stage::Compaction,
             seg.first_seq,
             seg.records,
         );
-        if !self.records.iter().any(|r| r.first_seq == seg.first_seq) {
-            let records = wal::read_segment_records(&seg.path)?;
-            if records.len() as u64 != seg.records {
-                return Err(scan_err(format!(
-                    "{}: WAL metadata claims {} records, segment holds {}",
-                    seg.path.display(),
-                    seg.records,
-                    records.len()
-                )));
+        let count_mismatch = |home: &str, holds: u64| {
+            scan_err(format!(
+                "{}: WAL metadata claims {} records, {home} holds {holds}",
+                seg.path.display(),
+                seg.records,
+            ))
+        };
+        match self.records.iter().find(|r| r.first_seq == seg.first_seq) {
+            // Re-retire after a crash between manifest flip and WAL
+            // delete: the archive must really hold this segment before
+            // the only other copy goes.
+            Some(archived) if archived.records != seg.records => {
+                return Err(count_mismatch("its record segment", archived.records));
             }
-            self.step()?;
-            write_record_segment(&self.dir, seg.first_seq, &records, self.fsync)?;
-            self.step()?;
-            let reader = RecordSegmentReader::open(&self.dir, seg.first_seq)?;
-            self.records.push(reader);
-            self.records.sort_by_key(|s| s.first_seq);
-            let published = self.manifest().write(&self.dir, self.fsync);
-            if published.is_err() {
-                self.records.retain(|r| r.first_seq != seg.first_seq);
-                return published;
+            Some(_) => {}
+            None => {
+                let sealed = SealedSegment::read(&seg.path)?;
+                if sealed.meta.records != seg.records {
+                    return Err(count_mismatch("the segment", sealed.meta.records));
+                }
+                self.step()?;
+                write_record_segment(&self.dir, &sealed, self.fsync)?;
+                self.step()?;
+                let reader = RecordSegmentReader::open(&self.dir, seg.first_seq)?;
+                self.records.push(reader);
+                self.records.sort_by_key(|s| s.first_seq);
+                let published = self.manifest().write(&self.dir, self.fsync);
+                if published.is_err() {
+                    self.records.retain(|r| r.first_seq != seg.first_seq);
+                    return published;
+                }
             }
         }
         // Source removal comes last; a crash before this line merely
@@ -328,7 +367,9 @@ impl HistoryStore {
         self.step()?;
         fs::remove_file(&seg.path)?;
         self.compactions += 1;
-        history_metrics().compactions.inc();
+        let m = history_metrics();
+        m.compactions.inc();
+        m.compaction_seconds.record_duration(started.elapsed());
         self.publish_catalog_gauges();
         Ok(())
     }
@@ -662,6 +703,32 @@ mod tests {
         h.flush_pending().unwrap();
         assert_eq!(h.neighbors_at(None, 1, 6.0, 10.0).len(), 1);
         assert_eq!(h.boundary().segments, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flush_is_timed_and_spanned_like_a_compaction() {
+        use sssj_metrics::trace::{self, EventKind, Stage};
+        let dir = tdir("spanned");
+        let h = HistoryHandle::open(&dir).unwrap();
+        let timed = history_metrics().compaction_seconds;
+        let before = timed.count();
+        h.push_expired(vec![
+            edge(41, 42, 0.9, 5.0),
+            edge(42, 43, 0.8, 6.0),
+            edge(43, 44, 0.7, 7.0),
+        ]);
+        h.flush_pending().unwrap();
+        if sssj_metrics::telemetry_enabled() {
+            assert!(timed.count() > before);
+        }
+        if sssj_metrics::trace_enabled() {
+            // a = edge-segment seq, b = queued edges.
+            let seen = trace::drain_last(usize::MAX).events.into_iter().any(|e| {
+                e.stage == Stage::Compaction && e.kind == EventKind::Span && (e.a, e.b) == (0, 3)
+            });
+            assert!(seen, "edge flush left no segment.compaction span");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

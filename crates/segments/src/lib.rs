@@ -7,19 +7,25 @@
 //! record is behind the horizon τ, the segment — and every similarity
 //! edge that expired with it — used to be deleted. This crate turns
 //! that deletion point into a **compaction** point. The retired data
-//! is re-framed as immutable, CRC-checked, memory-mapped segment pairs
-//! (a sorted data file plus a small index with per-node runs, a bloom
-//! filter over node ids and `[min_t, max_t]` time fences), cataloged
-//! by an atomically-published `MANIFEST` in the store's own idiom:
+//! moves into immutable, CRC-checked, memory-mapped segment pairs (a
+//! data file plus a small index), cataloged by an atomically-published
+//! `MANIFEST` in the store's own idiom:
 //!
 //! * **Record segments** preserve the raw stream past the horizon —
 //!   the input for *backfill* (re-running a historical range under new
-//!   parameters, [`backfill`]).
+//!   parameters, [`backfill`]). They store WAL frames verbatim, so
+//!   archiving one is *validate-and-copy*: one read of the sealed WAL
+//!   segment, one pass of the WAL's frame walker over it (every check
+//!   recovery makes, no record decoded), and the same bytes written
+//!   back out under a segment header. The ingest thread pays about a
+//!   `memcpy`, a CRC pass and the create/rename/unlink per segment.
 //! * **Edge segments** preserve the expired similarity graph — the
 //!   input for *time-travel* queries ([`HistoryHandle::neighbors_at`],
 //!   [`HistoryHandle::topk_at`], [`HistoryHandle::component_at`]):
 //!   "who was similar to X at time t", answered by overlaying the live
-//!   graph's window with every overlapping segment.
+//!   graph's window with every overlapping segment. Rows are sorted,
+//!   with per-node runs, a bloom filter over node ids and
+//!   `[min_t, max_t]` time fences in the index.
 //!
 //! Compaction sits **inside the durability boundary**. WAL segments
 //! are deleted only after their record segment and the manifest flip
@@ -27,7 +33,9 @@
 //! and before each checkpoint publish, so at every crash point the
 //! data lives in at least one of {WAL, checkpoint aux, segment} —
 //! never in none. Double-capture across a crash is resolved at query
-//! time by exact `(neighbor, sim-bits, t-bits)` dedup.
+//! time by exact `(neighbor, sim-bits, t-bits)` dedup. Both producers
+//! run under `segment.compaction` spans and are timed by
+//! `sssj_segments_compaction_seconds`.
 //!
 //! # Spec integration
 //!

@@ -10,8 +10,12 @@
 //!   `(start, count)` runs, a bloom filter over node ids (skips whole
 //!   segments on miss), and `[min_t, max_t]` time fences.
 //! * **Record segments** (`rec-<first_seq:016x>.{idx,dat}`) — retired
-//!   WAL segments re-framed verbatim (same frame codec as the WAL),
-//!   keeping raw records queryable past the horizon for backfill.
+//!   WAL segments, keeping raw records queryable past the horizon for
+//!   backfill. The data file's body is the WAL segment's frame run,
+//!   byte for byte (same frame codec): the compactor validates the
+//!   sealed bytes with the WAL's own frame walker and copies them, and
+//!   [`RecordSegmentReader::decode_all`] reads them back through that
+//!   same walker.
 //!
 //! Both files are CRC-framed ([`crate::format`]) and published
 //! atomically; readers validate every structural claim (row counts,
@@ -22,7 +26,7 @@ use std::path::Path;
 
 use sssj_collections::bloom::BloomFilter;
 use sssj_graph::ExpiredEdge;
-use sssj_store::wal;
+use sssj_store::wal::{self, SealedSegment};
 use sssj_types::StreamRecord;
 
 use crate::format::{read_framed, write_framed, BodyReader, FramedBody};
@@ -278,35 +282,27 @@ impl EdgeSegmentReader {
     }
 }
 
-/// Writes one record segment from a retired WAL segment's records and
-/// returns its `(min_t, max_t)`.
-pub fn write_record_segment(
-    dir: &Path,
-    first_seq: u64,
-    records: &[StreamRecord],
-    fsync: bool,
-) -> io::Result<(f64, f64)> {
-    let mut data = Vec::new();
-    let mut min_t = f64::INFINITY;
-    let mut max_t = f64::NEG_INFINITY;
-    for rec in records {
-        wal::encode_frame_into(rec, &mut data);
-        min_t = min_t.min(rec.t.seconds());
-        max_t = max_t.max(rec.t.seconds());
-    }
-    if records.is_empty() {
-        (min_t, max_t) = (0.0, 0.0);
-    }
+/// Writes one record segment from a retired WAL segment. The data
+/// file's body *is* the sealed segment's validated frame run, copied
+/// verbatim — nothing is decoded or re-encoded on the way.
+pub fn write_record_segment(dir: &Path, segment: &SealedSegment, fsync: bool) -> io::Result<()> {
+    let meta = &segment.meta;
+    // Frames are validated non-decreasing in time: first is oldest.
+    let (min_t, max_t) = match meta.records {
+        0 => (0.0, 0.0),
+        _ => (meta.first_t, meta.newest_t),
+    };
     let mut idx = Vec::new();
-    idx.extend_from_slice(&first_seq.to_le_bytes());
-    idx.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    idx.extend_from_slice(&meta.first_seq.to_le_bytes());
+    idx.extend_from_slice(&meta.records.to_le_bytes());
     idx.extend_from_slice(&min_t.to_bits().to_le_bytes());
     idx.extend_from_slice(&max_t.to_bits().to_le_bytes());
 
-    let stem = record_stem(first_seq);
-    write_framed(dir, &format!("{stem}.dat"), REC_DATA_MAGIC, &data, fsync)?;
+    let stem = record_stem(meta.first_seq);
+    let data = segment.frames();
+    write_framed(dir, &format!("{stem}.dat"), REC_DATA_MAGIC, data, fsync)?;
     write_framed(dir, &format!("{stem}.idx"), REC_INDEX_MAGIC, &idx, fsync)?;
-    Ok((min_t, max_t))
+    Ok(())
 }
 
 /// An open record segment; frames decode lazily via [`Self::decode_all`].
@@ -456,10 +452,14 @@ mod tests {
     #[test]
     fn record_segment_roundtrips() {
         let dir = tdir("recs");
-        let records: Vec<StreamRecord> = (0..50u64)
-            .map(|i| StreamRecord::new(i, Timestamp::new(i as f64), unit_vector(&[(3, 1.0)])))
-            .collect();
-        write_record_segment(&dir, 0, &records, false).unwrap();
+        let mut log = sssj_store::Wal::create(&dir, 64, false).unwrap();
+        for i in 0..50u64 {
+            let r = StreamRecord::new(i, Timestamp::new(i as f64), unit_vector(&[(3, 1.0)]));
+            log.append(&r).unwrap();
+        }
+        drop(log); // flushes
+        let sealed = SealedSegment::read(&dir.join("wal/seg-0000000000000000.wal")).unwrap();
+        write_record_segment(&dir, &sealed, false).unwrap();
         let seg = RecordSegmentReader::open(&dir, 0).unwrap();
         assert_eq!(seg.records, 50);
         assert_eq!((seg.min_t, seg.max_t), (0.0, 49.0));

@@ -23,15 +23,33 @@
 //! window anyway, so the ~25 % size saving varints would buy is not
 //! worth the cycles.
 //!
-//! A reader accepts a frame only if the header is complete, `len` is
-//! sane, the CRC matches and the decoded record passes the same
-//! untrusted-input validation as the snapshot reader (dimensions
-//! strictly increasing and ≤ [`MAX_SNAPSHOT_DIM`], weights finite in
-//! `(0, 1]`, timestamps finite and non-decreasing across the log).
-//! Anything else is treated as a torn tail: the log is truncated at the
-//! last good frame and every later segment is deleted, which is exactly
-//! the contract crash recovery needs — a `kill -9` mid-write loses at
-//! most the torn frame, never the prefix.
+//! # Reading: one walker, one read per segment
+//!
+//! Every reader goes through the same slice-based walker,
+//! [`walk_frames`]: a segment file is read whole (one pass of
+//! `read(2)`, not two calls per frame) and the walker steps through
+//! the bytes. It accepts a frame only if the header is complete, `len`
+//! is sane and inside the bytes, the CRC matches and the payload passes
+//! the same untrusted-input validation as the snapshot reader
+//! (dimensions strictly increasing and ≤ [`MAX_SNAPSHOT_DIM`], weights
+//! finite in `(0, 1]`, timestamps finite and non-decreasing across the
+//! log) — all without allocating; a [`Frame`] materialises its record
+//! only when asked. The first frame failing any check ends the walk
+//! with a [`FrameError`] naming its byte offset and the reason. What
+//! that means is the caller's business:
+//!
+//! * **Recovery** ([`Wal::open_existing`]) treats it as a torn tail:
+//!   the log is truncated at that offset — the end of the last good
+//!   frame — and every later segment is deleted, which is exactly the
+//!   contract crash recovery needs: a `kill -9` mid-write loses at most
+//!   the torn frame, never the prefix. Each cut is counted
+//!   (`sssj_store_wal_torn_tails_total`, `…_torn_bytes_total`) and
+//!   leaves a `wal.torn_tail` trace instant.
+//! * **Strict readers** — [`read_segment_records`], [`decode_frames`]
+//!   and the compactor's [`SealedSegment::read`] — hold sealed or
+//!   published bytes, where a bad frame is corruption, not a crash
+//!   tail: they refuse the whole input and pass the offset and reason
+//!   on.
 //!
 //! # Segments
 //!
@@ -52,7 +70,7 @@
 //! satisfying both conditions, oldest first.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -67,6 +85,8 @@ struct WalMetrics {
     fsyncs: &'static Counter,
     gc_batches: &'static Counter,
     gc_segments: &'static Counter,
+    torn_tails: &'static Counter,
+    torn_bytes: &'static Counter,
 }
 
 fn wal_metrics() -> &'static WalMetrics {
@@ -91,6 +111,14 @@ fn wal_metrics() -> &'static WalMetrics {
                 "sssj_store_gc_segments_total",
                 "WAL segments retired by horizon GC",
             ),
+            torn_tails: reg.counter(
+                "sssj_store_wal_torn_tails_total",
+                "recoveries that cut a torn or corrupt WAL tail",
+            ),
+            torn_bytes: reg.counter(
+                "sssj_store_wal_torn_bytes_total",
+                "WAL bytes dropped by torn-tail cuts (later segments included)",
+            ),
         }
     })
 }
@@ -99,7 +127,7 @@ use crate::crc::crc32c;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"SSSJWAL1";
-const SEGMENT_HEADER_LEN: u64 = 16;
+const SEGMENT_HEADER_LEN: usize = 16;
 /// Sanity cap on one frame's payload; a record beyond this is treated as
 /// corruption (the bound implies ≤ ~5M coordinates, far above
 /// [`MAX_SNAPSHOT_DIM`]-constrained realistic vectors).
@@ -109,20 +137,10 @@ const MAX_FRAME_LEN: u32 = 64 << 20;
 /// syscall per 256 KiB, not a `BufWriter` copy plus a call per frame.
 const WRITE_BUFFER: usize = 1 << 18;
 
-/// One segment's bookkeeping.
-#[derive(Clone, Debug)]
-struct Segment {
-    first_seq: u64,
-    records: u64,
-    first_t: f64,
-    newest_t: f64,
-    path: PathBuf,
-}
-
-/// Metadata of one sealed segment the horizon GC is about to retire:
-/// its records are older than the forgetting horizon *and* fully
-/// covered by a published checkpoint, so the live join will never read
-/// them again.
+/// Metadata of one segment file — the log's own bookkeeping, and what
+/// the horizon GC hands a [`GcSink`] when the segment is sealed, older
+/// than the forgetting horizon *and* fully covered by a published
+/// checkpoint, so the live join will never read it again.
 #[derive(Clone, Debug)]
 pub struct RetiredSegment {
     /// The segment file (still present when the sink runs).
@@ -131,11 +149,14 @@ pub struct RetiredSegment {
     pub first_seq: u64,
     /// Records in the segment.
     pub records: u64,
-    /// Timestamp of the oldest record.
+    /// Timestamp of the oldest record (`+∞` while empty).
     pub first_t: f64,
-    /// Timestamp of the newest record.
+    /// Timestamp of the newest record (`−∞` while empty).
     pub newest_t: f64,
 }
+
+/// Every retained segment, retirable yet or not, is tracked as one.
+type Segment = RetiredSegment;
 
 /// Where retired WAL segments go. The GC hands each retirable segment
 /// to the sink *instead of* deleting it inline, which is the attachment
@@ -201,7 +222,7 @@ fn open_segment(wal_dir: &Path, first_seq: u64) -> io::Result<(File, Segment)> {
         .create_new(true)
         .write(true)
         .open(&path)?;
-    let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
+    let mut header = [0u8; SEGMENT_HEADER_LEN];
     header[..8].copy_from_slice(SEGMENT_MAGIC);
     header[8..].copy_from_slice(&first_seq.to_le_bytes());
     file.write_all(&header)?;
@@ -276,11 +297,11 @@ fn encode_frame(record: &StreamRecord, buf: &mut Vec<u8>) {
     buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes and validates one frame payload. `last_t` enforces the
-/// cross-frame timestamp monotonicity the engines rely on. The `nnz`
-/// count is cross-checked against the payload length *before* any
-/// allocation is sized from it.
-fn decode_payload(payload: &[u8], last_t: f64) -> Result<StreamRecord, String> {
+/// Validates one frame payload without allocating and returns its
+/// `(id, t)`. `last_t` enforces the cross-frame timestamp monotonicity
+/// the engines rely on; the `nnz` count is cross-checked against the
+/// payload length before the coordinate columns are sliced by it.
+fn validate_payload(payload: &[u8], last_t: f64) -> Result<(u64, f64), String> {
     if payload.len() < 20 {
         return Err(format!("payload too short ({} bytes)", payload.len()));
     }
@@ -293,17 +314,15 @@ fn decode_payload(payload: &[u8], last_t: f64) -> Result<StreamRecord, String> {
     if nnz as u64 > MAX_SNAPSHOT_DIM as u64 {
         return Err(format!("absurd nnz {nnz}"));
     }
-    // A lying nnz must fail here, before it sizes any allocation.
     if payload.len() != 20 + 12 * nnz {
         return Err(format!(
             "payload length {} does not match nnz {nnz}",
             payload.len()
         ));
     }
-    let (dims_bytes, ws_bytes) = payload[20..].split_at(4 * nnz);
-    let mut b = SparseVectorBuilder::with_capacity(nnz);
+    let (dims, weights) = payload[20..].split_at(4 * nnz);
     let mut prev: Option<u32> = None;
-    for (db, wb) in dims_bytes.chunks_exact(4).zip(ws_bytes.chunks_exact(8)) {
+    for db in dims.chunks_exact(4) {
         let d = u32::from_le_bytes(db.try_into().expect("4 bytes"));
         if d > MAX_SNAPSHOT_DIM {
             return Err(format!("dimension {d} too large"));
@@ -312,14 +331,106 @@ fn decode_payload(payload: &[u8], last_t: f64) -> Result<StreamRecord, String> {
             return Err("dims not increasing".into());
         }
         prev = Some(d);
+    }
+    for wb in weights.chunks_exact(8) {
         let x = f64::from_le_bytes(wb.try_into().expect("8 bytes"));
         if !x.is_finite() || x <= 0.0 || x > 1.0 + 1e-9 {
             return Err(format!("bad weight {x}"));
         }
-        b.push(d, x);
     }
-    let vector = b.build().map_err(|e| format!("bad vector: {e}"))?;
-    Ok(StreamRecord::new(id, Timestamp::new(t), vector))
+    Ok((id, t))
+}
+
+/// A refused frame: where it starts in the walked bytes — which is
+/// also the length of the longest valid prefix — and why.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FrameError {
+    /// Byte offset of the refused frame's header.
+    pub offset: usize,
+    /// Short header, absurd length, overrun, CRC mismatch or bad payload.
+    pub reason: String,
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "frame at byte {}: {}", self.offset, self.reason)
+    }
+}
+
+/// One frame [`walk_frames`] accepted: header, CRC and payload
+/// structure all checked, nothing allocated.
+#[derive(Clone, Copy, Debug)]
+pub struct Frame<'a> {
+    payload: &'a [u8],
+    /// The record's id.
+    pub id: u64,
+    /// The record's timestamp.
+    pub t: f64,
+}
+
+impl Frame<'_> {
+    /// Materialises the record.
+    pub fn record(&self) -> StreamRecord {
+        let nnz = (self.payload.len() - 20) / 12;
+        let (dims, weights) = self.payload[20..].split_at(4 * nnz);
+        let mut b = SparseVectorBuilder::with_capacity(nnz);
+        for (db, wb) in dims.chunks_exact(4).zip(weights.chunks_exact(8)) {
+            b.push(
+                u32::from_le_bytes(db.try_into().expect("4 bytes")),
+                f64::from_le_bytes(wb.try_into().expect("8 bytes")),
+            );
+        }
+        let vector = b.build().expect("validated: finite positive weights");
+        StreamRecord::new(self.id, Timestamp::new(self.t), vector)
+    }
+}
+
+/// The one frame walker: steps through the concatenated frames in
+/// `bytes[start..]`, strictly, handing each valid [`Frame`] to `each`.
+/// `Ok` only when the bytes end exactly at a frame boundary; the first
+/// torn or corrupt frame ends the walk with a [`FrameError`]. Offsets
+/// count from the start of `bytes` (pass a whole segment file and its
+/// header length to get file offsets). `last_t` seeds the timestamp
+/// monotonicity check, `f64::NEG_INFINITY` to accept any start.
+pub fn walk_frames<'a>(
+    bytes: &'a [u8],
+    start: usize,
+    mut last_t: f64,
+    mut each: impl FnMut(Frame<'a>),
+) -> Result<(), FrameError> {
+    let mut pos = start;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        let refuse = |reason: String| FrameError {
+            offset: pos,
+            reason,
+        };
+        if rest.len() < 8 {
+            let trailing = rest.len();
+            return Err(refuse(format!("short header ({trailing} trailing bytes)")));
+        }
+        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+        if len == 0 || len > MAX_FRAME_LEN {
+            return Err(refuse(format!("absurd frame length {len}")));
+        }
+        // Length check before any slicing sized from the header.
+        let remaining = rest.len() - 8;
+        if remaining < len as usize {
+            return Err(refuse(format!(
+                "frame length {len} overruns the remaining {remaining} bytes"
+            )));
+        }
+        let payload = &rest[8..8 + len as usize];
+        if crc32c(payload) != crc {
+            return Err(refuse("CRC mismatch".into()));
+        }
+        let (id, t) = validate_payload(payload, last_t)
+            .map_err(|why| refuse(format!("bad payload: {why}")))?;
+        (pos, last_t) = (pos + 8 + len as usize, t);
+        each(Frame { payload, id, t });
+    }
+    Ok(())
 }
 
 /// The outcome of scanning an existing log.
@@ -380,36 +491,55 @@ impl Wal {
         let mut records = Vec::new();
         let mut segments: Vec<Segment> = Vec::new();
         let mut truncated = false;
-        let mut expected_seq: Option<u64> = None;
         let mut last_t = f64::NEG_INFINITY;
         for (i, path) in paths.iter().enumerate() {
-            match Self::scan_segment(path, expected_seq, &mut last_t, &mut records) {
-                Ok(seg) => {
-                    expected_seq = Some(seg.first_seq + seg.records);
+            let expected_seq = segments.last().map(|s: &Segment| s.first_seq + s.records);
+            // A segment that cannot be read, has a bad header, or leaves
+            // a gap or overlap in the sequence space is unusable whole.
+            let loaded = load_segment(path)
+                .ok()
+                .filter(|(first_seq, _)| expected_seq.is_none_or(|e| e == *first_seq));
+            // How much of this file survives: all of it (`None`), a
+            // good prefix, or nothing (0 — the file is dropped).
+            let (first_seq, keep) = match loaded {
+                Some((first_seq, file)) => {
+                    let (seg, torn) = walk_segment(path, first_seq, &file, last_t, |frame| {
+                        records.push(frame.record())
+                    });
+                    if seg.records > 0 {
+                        last_t = seg.newest_t;
+                    }
                     segments.push(seg);
+                    (first_seq, torn.map(|e| e.offset as u64))
                 }
-                Err(keep_bytes) => {
-                    // Torn or corrupt: cut the log here. `keep_bytes`
-                    // is how much of this segment survives (0 = the
-                    // header itself is bad → drop the whole file).
-                    truncated = true;
-                    match keep_bytes {
-                        Some((seg, good_len)) => {
-                            let f = OpenOptions::new().write(true).open(path)?;
-                            f.set_len(good_len)?;
-                            f.sync_all()?;
-                            segments.push(seg);
-                        }
-                        None => {
-                            fs::remove_file(path)?;
-                        }
-                    }
-                    for later in &paths[i + 1..] {
-                        fs::remove_file(later)?;
-                    }
-                    break;
-                }
+                None => (expected_seq.unwrap_or(0), Some(0)),
+            };
+            let Some(good_len) = keep else { continue };
+            // Torn or corrupt: cut the log at the last good frame and
+            // drop every later segment.
+            truncated = true;
+            let len_of = |p: &PathBuf| fs::metadata(p).map_or(0, |m| m.len());
+            let mut cut_bytes = len_of(path).saturating_sub(good_len);
+            if good_len == 0 {
+                fs::remove_file(path)?;
+            } else {
+                let f = OpenOptions::new().write(true).open(path)?;
+                f.set_len(good_len)?;
+                f.sync_all()?;
             }
+            for later in &paths[i + 1..] {
+                cut_bytes += len_of(later);
+                fs::remove_file(later)?;
+            }
+            let m = wal_metrics();
+            m.torn_tails.inc();
+            m.torn_bytes.add(cut_bytes);
+            sssj_metrics::trace::instant(
+                sssj_metrics::trace::Stage::WalTornTail,
+                first_seq,
+                good_len,
+            );
+            break;
         }
 
         let next_seq = segments
@@ -442,82 +572,6 @@ impl Wal {
             records,
             truncated,
         })
-    }
-
-    /// Scans one segment. `Ok(segment)` when it reads cleanly to EOF;
-    /// `Err(Some((segment, good_len)))` when a later frame is corrupt
-    /// but a good prefix survives; `Err(None)` when the header itself is
-    /// unusable.
-    #[allow(clippy::type_complexity)]
-    fn scan_segment(
-        path: &Path,
-        expected_seq: Option<u64>,
-        last_t: &mut f64,
-        records: &mut Vec<StreamRecord>,
-    ) -> Result<Segment, Option<(Segment, u64)>> {
-        let mut file = match File::open(path) {
-            Ok(f) => f,
-            Err(_) => return Err(None),
-        };
-        let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-        if file.read_exact(&mut header).is_err() || &header[..8] != SEGMENT_MAGIC {
-            return Err(None);
-        }
-        let first_seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        if expected_seq.is_some_and(|e| e != first_seq) {
-            // A gap or overlap in the sequence space: everything from
-            // here on is unusable.
-            return Err(None);
-        }
-        let mut seg = Segment {
-            first_seq,
-            records: 0,
-            first_t: f64::INFINITY,
-            newest_t: f64::NEG_INFINITY,
-            path: path.to_path_buf(),
-        };
-        let mut good_len = SEGMENT_HEADER_LEN;
-        let mut frame_header = [0u8; 8];
-        let mut payload = Vec::new();
-        loop {
-            match file.read_exact(&mut frame_header) {
-                Ok(()) => {}
-                Err(_) => {
-                    // Clean EOF (file ends exactly at the last good
-                    // frame) is the common case and is not corruption; a
-                    // torn header means the tail must be cut.
-                    let clean = file.metadata().ok().is_some_and(|m| m.len() == good_len);
-                    if clean {
-                        return Ok(seg);
-                    }
-                    return Err(Some((seg, good_len)));
-                }
-            }
-            let len = u32::from_le_bytes(frame_header[0..4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(frame_header[4..8].try_into().expect("4 bytes"));
-            if len == 0 || len > MAX_FRAME_LEN {
-                return Err(Some((seg, good_len)));
-            }
-            payload.clear();
-            payload.resize(len as usize, 0);
-            if file.read_exact(&mut payload).is_err() || crc32c(&payload) != crc {
-                return Err(Some((seg, good_len)));
-            }
-            match decode_payload(&payload, *last_t) {
-                Ok(record) => {
-                    let t = record.t.seconds();
-                    *last_t = t;
-                    if seg.records == 0 {
-                        seg.first_t = t;
-                    }
-                    seg.newest_t = t;
-                    seg.records += 1;
-                    good_len += 8 + len as u64;
-                    records.push(record);
-                }
-                Err(_) => return Err(Some((seg, good_len))),
-            }
-        }
     }
 
     /// Appends one record, returning its absolute sequence number.
@@ -629,13 +683,7 @@ impl Wal {
         let mut retired = 0;
         while let Some(seg) = self.sealed.first() {
             if seg.newest_t < floor_t && seg.first_seq + seg.records <= ckpt_seq {
-                sink.retire(&RetiredSegment {
-                    path: seg.path.clone(),
-                    first_seq: seg.first_seq,
-                    records: seg.records,
-                    first_t: seg.first_t,
-                    newest_t: seg.newest_t,
-                })?;
+                sink.retire(seg)?;
                 self.sealed.remove(0);
                 retired += 1;
             } else {
@@ -672,56 +720,100 @@ pub fn encode_frame_into(record: &StreamRecord, buf: &mut Vec<u8>) {
 /// Decodes a byte run of concatenated WAL frames, strictly: any torn,
 /// corrupt or trailing partial frame is an error (callers hold
 /// *published* immutable bytes, where a bad frame is corruption, not a
-/// crash tail). `last_t` seeds the cross-frame timestamp monotonicity
-/// check, `f64::NEG_INFINITY` to accept any start.
-pub fn decode_frames(bytes: &[u8], mut last_t: f64) -> Result<Vec<StreamRecord>, String> {
+/// crash tail). `last_t` as for [`walk_frames`].
+pub fn decode_frames(bytes: &[u8], last_t: f64) -> Result<Vec<StreamRecord>, FrameError> {
     let mut records = Vec::new();
-    let mut rest = bytes;
-    while !rest.is_empty() {
-        if rest.len() < 8 {
-            return Err(format!("torn frame header ({} trailing bytes)", rest.len()));
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(format!("absurd frame length {len}"));
-        }
-        // Length check before any slicing sized from the header.
-        if rest.len() - 8 < len as usize {
-            return Err(format!(
-                "frame length {len} overruns the remaining {} bytes",
-                rest.len() - 8
-            ));
-        }
-        let payload = &rest[8..8 + len as usize];
-        if crc32c(payload) != crc {
-            return Err("frame CRC mismatch".into());
-        }
-        let record = decode_payload(payload, last_t)?;
-        last_t = record.t.seconds();
-        records.push(record);
-        rest = &rest[8 + len as usize..];
-    }
+    walk_frames(bytes, 0, last_t, |frame| records.push(frame.record()))?;
     Ok(records)
 }
 
-/// Reads every record of one sealed segment file, strictly: sealed
-/// segments are immutable, so a torn or corrupt frame is an error here
-/// (unlike recovery's self-truncating scan). This is the compactor's
-/// read path at retire time.
+fn refused(path: &Path, why: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("WAL segment {}: {why}", path.display()),
+    )
+}
+
+/// Reads a segment file whole — one pass of `read(2)`, not two calls
+/// per frame — and checks its header. Returns `first_seq` and the
+/// file's bytes, header included (so frame offsets are file offsets).
+fn load_segment(path: &Path) -> io::Result<(u64, Vec<u8>)> {
+    let file = fs::read(path)?;
+    if file.len() < SEGMENT_HEADER_LEN || &file[..8] != SEGMENT_MAGIC {
+        return Err(refused(path, "bad segment header"));
+    }
+    let first_seq = u64::from_le_bytes(file[8..SEGMENT_HEADER_LEN].try_into().expect("8 bytes"));
+    Ok((first_seq, file))
+}
+
+/// Walks a loaded segment file's frames from watermark `last_t`,
+/// handing each valid one to `each`. Returns the metadata of the valid
+/// prefix and the error that ended it, if the frames did not end
+/// cleanly; the error's offset is the file length worth keeping.
+fn walk_segment<'a>(
+    path: &Path,
+    first_seq: u64,
+    file: &'a [u8],
+    last_t: f64,
+    mut each: impl FnMut(Frame<'a>),
+) -> (Segment, Option<FrameError>) {
+    let mut seg = Segment {
+        first_seq,
+        records: 0,
+        first_t: f64::INFINITY,
+        newest_t: f64::NEG_INFINITY,
+        path: path.to_path_buf(),
+    };
+    let torn = walk_frames(file, SEGMENT_HEADER_LEN, last_t, |frame| {
+        if seg.records == 0 {
+            seg.first_t = frame.t;
+        }
+        seg.newest_t = frame.t;
+        seg.records += 1;
+        each(frame);
+    });
+    (seg, torn.err())
+}
+
+/// One sealed segment, read whole and validated strictly — the
+/// compactor's input at retire time. Sealed segments are immutable, so
+/// a torn or corrupt frame is an error here (unlike recovery's
+/// self-truncating scan), and nothing is decoded: [`Self::frames`] is
+/// the validated byte run, ready to be stored verbatim.
+pub struct SealedSegment {
+    file: Vec<u8>,
+    /// First sequence number, frame count and time fences, as read.
+    pub meta: RetiredSegment,
+}
+
+impl SealedSegment {
+    /// Reads and validates the segment file at `path`: every frame's
+    /// length bounds, CRC-32C, payload structure and timestamp order.
+    pub fn read(path: &Path) -> io::Result<SealedSegment> {
+        Self::read_each(path, |_| {})
+    }
+
+    fn read_each(path: &Path, each: impl FnMut(Frame<'_>)) -> io::Result<SealedSegment> {
+        let (first_seq, file) = load_segment(path)?;
+        match walk_segment(path, first_seq, &file, f64::NEG_INFINITY, each) {
+            (meta, None) => Ok(SealedSegment { file, meta }),
+            (_, Some(e)) => Err(refused(path, e)),
+        }
+    }
+
+    /// The validated frames, concatenated, without the segment header.
+    pub fn frames(&self) -> &[u8] {
+        &self.file[SEGMENT_HEADER_LEN..]
+    }
+}
+
+/// Reads every record of one segment file, strictly (see
+/// [`SealedSegment`]): the error names the byte offset of the first
+/// bad frame and what was wrong with it.
 pub fn read_segment_records(path: &Path) -> io::Result<Vec<StreamRecord>> {
     let mut records = Vec::new();
-    let mut last_t = f64::NEG_INFINITY;
-    match Wal::scan_segment(path, None, &mut last_t, &mut records) {
-        Ok(seg) if seg.path == *path => Ok(records),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "WAL segment {} is torn or corrupt; refusing to compact it",
-                path.display()
-            ),
-        )),
-    }
+    SealedSegment::read_each(path, |frame| records.push(frame.record()))?;
+    Ok(records)
 }
 
 impl Drop for Wal {
