@@ -13,7 +13,6 @@ use std::process::ExitCode;
 
 mod args;
 mod backfill_cmd;
-mod bench_latency;
 mod commands;
 mod commands_ext;
 mod graph_cmd;
@@ -80,16 +79,6 @@ commands:
   trace      dump a server's flight        ([addr] | --from-log FILE,
              recorder as Chrome JSON        --last N, --out FILE; load in
                                             Perfetto / chrome://tracing)
-  bench-latency  open-loop latency replay  ([file] | --preset, --n;
-                                            --rate, --theta, --lambda,
-                                            --index, --k, --query-every,
-                                            --lane auto|scalar,
-                                            --history DIR for a
-                                            time-travel at= query mix;
-                                            --net [--clients N]
-                                            [--engine eventloop|threaded]
-                                            [--oracle] replays through a
-                                            loopback server)
 
 run options:
   --spec S                full pipeline spec, e.g. str-l2?theta=0.7&reorder=5
@@ -142,7 +131,6 @@ fn main() -> ExitCode {
         "net-send" => net_cmd::net_send(rest),
         "metrics" => net_cmd::metrics_cmd(rest),
         "trace" => net_cmd::trace_cmd(rest),
-        "bench-latency" => bench_latency::bench_latency(rest),
         "-h" | "--help" => {
             print!("{USAGE}");
             Ok(())

@@ -146,10 +146,10 @@ mod tests {
 
     #[test]
     fn factory_counts_records_and_pairs_exactly() {
-        if !sssj_metrics::telemetry_enabled() {
-            return; // the off lane builds unwrapped joins; nothing counts
-        }
         let reg = Registry::global();
+        if !sssj_metrics::telemetry_enabled() {
+            return; // off lane, known once `global()` ran: nothing counts
+        }
         let records = reg.counter("sssj_core_records_total", "records ingested");
         let pairs = reg.counter("sssj_core_pairs_total", "similar pairs emitted");
         let (r0, p0) = (records.value(), pairs.value());
@@ -171,10 +171,10 @@ mod tests {
 
     #[test]
     fn engine_shape_counters_flush_as_deltas() {
-        if !sssj_metrics::telemetry_enabled() {
-            return; // the off lane builds unwrapped joins; nothing counts
-        }
         let reg = Registry::global();
+        if !sssj_metrics::telemetry_enabled() {
+            return; // off lane, known once `global()` ran: nothing counts
+        }
         let spec: JoinSpec = "str-l2?theta=0.7&lambda=0.1".parse().unwrap();
         let mut join = spec.build().unwrap();
         let entries = reg.counter_with(

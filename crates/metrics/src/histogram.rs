@@ -171,8 +171,8 @@ const LL_MIN: f64 = 1e-9;
 /// counters (16 KiB) allocated once at construction.
 ///
 /// [`LatencyHistogram`]'s geometric buckets grow on demand, which is fine
-/// for offline reporting but means `record` can allocate. The open-loop
-/// latency harness (`sssj_bench`) records on the measured path itself, so
+/// for offline reporting but means `record` can allocate. The registry
+/// `Recorder` (same bucket layout) records on the measured path itself, so
 /// it needs recording to be a pure array increment. Quantiles report the
 /// containing bucket's upper edge (≤ `1/32 ≈ 3.1 %` relative
 /// overestimate, never an underestimate), capped at the exact max so

@@ -95,7 +95,7 @@ fn init_gate() {
 }
 
 /// Bench-only override of the `SSSJ_TELEMETRY` gate, so one process can
-/// A/B the on- and off-path record costs (`telemetry_overhead` bench).
+/// A/B the on- and off-path record costs (`metrics.counter_ns` probe).
 /// Burns the env read first so a later first-use cannot undo the
 /// override. Not for production code: flipping mid-flight loses counts.
 #[doc(hidden)]
@@ -621,10 +621,10 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_roundtrip() {
-        if !telemetry_enabled() {
-            return; // the off lane freezes every handle; nothing to assert
-        }
         let reg = Registry::global();
+        if !telemetry_enabled() {
+            return; // off lane (known once `global()` ran): nothing counts
+        }
         let c = reg.counter("test_reg_basic_total", "basic counter");
         c.inc();
         c.add(4);
@@ -641,10 +641,10 @@ mod tests {
 
     #[test]
     fn labeled_series_are_distinct() {
-        if !telemetry_enabled() {
-            return; // the off lane freezes every handle; nothing to assert
-        }
         let reg = Registry::global();
+        if !telemetry_enabled() {
+            return; // off lane (known once `global()` ran): nothing counts
+        }
         let a = reg.counter_with("test_reg_verbs_total", "per-verb", &[("verb", "query")]);
         let b = reg.counter_with("test_reg_verbs_total", "per-verb", &[("verb", "stats")]);
         assert!(!std::ptr::eq(a, b));
@@ -668,10 +668,10 @@ mod tests {
 
     #[test]
     fn recorder_snapshot_matches_sequential_histogram() {
-        if !telemetry_enabled() {
-            return; // the off lane freezes every handle; nothing to assert
-        }
         let reg = Registry::global();
+        if !telemetry_enabled() {
+            return; // off lane (known once `global()` ran): nothing counts
+        }
         let r = reg.recorder("test_reg_lat_seconds", "latencies");
         let mut reference = LogLinearHistogram::new();
         for i in 1..=1000u64 {
@@ -735,10 +735,10 @@ mod tests {
 
     #[test]
     fn recorder_exposes_prometheus_histogram_series() {
-        if !telemetry_enabled() {
-            return; // the off lane freezes every handle; nothing to assert
-        }
         let reg = Registry::global();
+        if !telemetry_enabled() {
+            return; // off lane (known once `global()` ran): nothing counts
+        }
         let r = reg.recorder("test_reg_expo_seconds", "exposition probe");
         // Three values in two distinct buckets (1us twice and 1ms once).
         r.record(1.0e-6);
@@ -786,10 +786,10 @@ mod tests {
 
     #[test]
     fn json_line_is_one_line_of_json_shape() {
-        if !telemetry_enabled() {
-            return; // the off lane freezes every handle; nothing to assert
-        }
         let reg = Registry::global();
+        if !telemetry_enabled() {
+            return; // off lane (known once `global()` ran): nothing counts
+        }
         reg.counter("test_reg_json_total", "json").add(9);
         let line = reg.json_line();
         assert!(!line.contains('\n'));
@@ -800,10 +800,10 @@ mod tests {
 
     #[test]
     fn nan_is_dropped_not_fatal() {
-        if !telemetry_enabled() {
-            return; // the off lane freezes every handle; nothing to assert
-        }
         let reg = Registry::global();
+        if !telemetry_enabled() {
+            return; // off lane (known once `global()` ran): nothing counts
+        }
         let r = reg.recorder("test_reg_nan_seconds", "nan probe");
         r.record(f64::NAN);
         r.record(-1.0); // clamps to 0

@@ -94,7 +94,7 @@ fn init_gate() {
 }
 
 /// Bench-only override of the `SSSJ_TRACE` gate, so one process can A/B
-/// the on- and off-path probe costs (`trace_overhead` bench). Burns the
+/// the on- and off-path probe costs (`metrics.span_ns` pair). Burns the
 /// env read first so a later first-use cannot undo the override. Not
 /// for production code: flipping mid-flight loses events.
 #[doc(hidden)]
@@ -932,9 +932,12 @@ mod tests {
                 instant(Stage::Compaction, i, 0);
             }
             let (w1, d1) = thread_ring_stats();
-            (w0, d0, w1, d1, n)
+            // Read the ring back before this thread exits: once its
+            // `ThreadTrace` drops, the ring goes on the free list and a
+            // concurrent test's new thread may start overwriting it.
+            (w0, d0, w1, d1, n, events_for_trace(id))
         });
-        let (w0, d0, w1, d1, n) = handle.join().unwrap();
+        let (w0, d0, w1, d1, n, evs) = handle.join().unwrap();
         assert_eq!(w1 - w0, n, "every push was counted");
         let expected_drop =
             w1.saturating_sub(RING_CAPACITY as u64) - w0.saturating_sub(RING_CAPACITY as u64);
@@ -942,7 +945,6 @@ mod tests {
         // The survivors are exactly the newest RING_CAPACITY of our
         // pushes (the ring may have been reused, but our n > capacity
         // pushes own every live slot).
-        let evs = events_for_trace(id);
         assert_eq!(evs.len(), RING_CAPACITY);
         let min_a = evs.iter().map(|e| e.a).min().unwrap();
         let max_a = evs.iter().map(|e| e.a).max().unwrap();

@@ -22,7 +22,7 @@
 //! queries from the graph's published snapshot (wait-free reads, see
 //! `sssj_graph::GraphSnapshot`) while the threaded engine serializes
 //! every request behind one mutex — which is exactly the baseline the
-//! `bench-latency --net` harness compares against.
+//! event loop's snapshot reads are tested against.
 //!
 //! Shutdown: [`Server::shutdown`] sets a flag, wakes the engine with a
 //! loopback connection, and joins every thread. In-flight requests

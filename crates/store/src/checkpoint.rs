@@ -247,7 +247,7 @@ fn decode_checkpoint(body: &[u8]) -> Result<Checkpoint, StoreError> {
 /// flush already survives process crashes).
 ///
 /// Metadata traffic is deliberately minimal — checkpoints sit on the
-/// ingest path (`wal_overhead` budget): the checkpoint file is written
+/// ingest path (`store.checkpoint_ms`): the checkpoint file is written
 /// *in place* under its fresh sequence-stamped name (readers only look
 /// at it once `MANIFEST` flips, and a torn write fails its CRC and falls
 /// back), so only the manifest itself pays the tmp + `rename(2)` dance

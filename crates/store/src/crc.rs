@@ -6,7 +6,7 @@
 //! Castagnoli polynomial is the storage-stack standard (iSCSI, ext4,
 //! RocksDB's WAL) precisely because x86_64 executes it natively: the
 //! SSE4.2 path folds 8 bytes per cycle (~5 ns for a 90-byte frame), so
-//! the checksum disappears inside the `wal_overhead` budget. The
+//! the checksum is lost in the `store.wal_append_ns` budget. The
 //! portable fallback is slicing-by-8 with compile-time tables; the two
 //! are cross-tested on every length and alignment. No dependencies, no
 //! runtime initialisation.
@@ -70,7 +70,7 @@ fn crc32c_sw(bytes: &[u8]) -> u32 {
 
 /// The SSE4.2 `crc32` instruction path: one 8-byte fold per cycle
 /// against the table path's ~3 — the difference between the checksum
-/// being visible in the `wal_overhead` A/B and not.
+/// being visible in `store.wal_append_ns`, and not.
 ///
 /// # Safety
 ///

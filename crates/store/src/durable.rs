@@ -171,7 +171,7 @@ pub struct DurableOptions {
     /// kernel), which is the failure model the recovery tests exercise;
     /// an fsync on every checkpoint buys **machine-crash** durability at
     /// ~3 journal commits (typically milliseconds) per checkpoint —
-    /// far beyond the 15 % `wal_overhead` budget at default cadence.
+    /// far outside the 15 % `store.us_per_record` budget by default.
     pub fsync: bool,
 }
 

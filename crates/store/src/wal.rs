@@ -17,7 +17,7 @@
 //!
 //! The payload is deliberately **fixed-width** (unlike the snapshot
 //! format's delta+varint coding): the append sits on the per-record hot
-//! path with a 15 % overhead budget (`wal_overhead` bench), and
+//! path, on a 15 % overhead budget (`store.us_per_record`), and
 //! fixed-width fields encode as bulk copies — no per-byte varint loops
 //! — while the horizon GC keeps total disk usage bounded by the live
 //! window anyway, so the ~25 % size saving varints would buy is not
@@ -272,7 +272,7 @@ fn extend_le_bytes<T: Copy>(buf: &mut Vec<u8>, values: &[T], write_one: impl Fn(
 }
 
 /// Appends one record's frame to `buf`. This is the per-record hot
-/// path (the `wal_overhead` bench budget): every field is fixed-width
+/// path (the `store.wal_append_ns` probe): every field is fixed-width
 /// and the dimension/weight columns go in as two bulk memcpys.
 fn encode_frame(record: &StreamRecord, buf: &mut Vec<u8>) {
     let v = &record.vector;

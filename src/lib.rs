@@ -394,14 +394,24 @@
 //!
 //! ## Benchmarks
 //!
-//! `cargo bench -p sssj-bench --bench fig5_str_indexes` (and the other
-//! `fig*`/`ext_*` benches) measure the paper's figures; the offline
-//! criterion stand-in prints `median / min` per benchmark and appends
-//! JSON lines to the file named by `CRITERION_JSON`. `BENCH_FAST=1`
-//! gives a smoke run; `BENCH_SAMPLES=n` overrides sampling. Recorded
-//! baselines live in `BENCH_baseline.json` (seed hot path) and
-//! `BENCH_pr1.json` (flattened hot path) at the repo root; on shared
-//! machines compare the interference-robust `min_ns` fields.
+//! Two systems, two jobs:
+//!
+//! * **The paper's evaluation** (§7, Figs. 2–9, Tables 1–2 and the
+//!   `ext_*` extensions) lives in `crates/bench`:
+//!   `cargo bench -p sssj-bench --bench fig5_str_indexes` (and the other
+//!   `fig*`/`table*`/`ablation_*`/`ext_*` targets), or the `harness` bin
+//!   for rendered tables + CSVs. The offline criterion stand-in prints
+//!   `median / min` per benchmark and appends JSON lines to the file
+//!   named by `CRITERION_JSON`; `BENCH_FAST=1` gives a smoke run,
+//!   `BENCH_SAMPLES=n` overrides sampling.
+//! * **Performance of this implementation** is measured only by `bench/`
+//!   (`sssj-perf`): `cargo run --release --manifest-path bench/Cargo.toml
+//!   -- --workload stack-tweets` for the end-to-end metrics, `… -- trace
+//!   --workload stack-tweets` for the per-layer ones. `BENCHMARK.json`
+//!   declares the four pinned workloads, every metric with its unit and
+//!   direction, and the regression bounds; every run ends with a
+//!   correctness gate (oracle prefix, equal pair digests, crash
+//!   recovery). See `bench/README.md` for the measurement rules.
 
 pub use sssj_baseline as baseline;
 pub use sssj_collections as collections;
