@@ -44,6 +44,20 @@ impl Parsed {
         self.options.get(name).map(String::as_str)
     }
 
+    /// Refuses options outside `known`, naming the first offender: a
+    /// mistyped or retired option is an error, not silently ignored.
+    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .options
+            .keys()
+            .filter(|k| !known.contains(&k.as_str()))
+            .min()
+        {
+            Some(k) => Err(format!("unknown option --{k}")),
+            None => Ok(()),
+        }
+    }
+
     /// A boolean flag.
     pub fn flag(&self, name: &str) -> bool {
         self.options.contains_key(name)

@@ -62,8 +62,7 @@ commands:
                                             --lambda, --index, --framework;
                                             --shared serves ONE pipeline to
                                             every connection with real
-                                            server-push SUBSCRIBE,
-                                            --engine eventloop|threaded)
+                                            server-push SUBSCRIBE)
   net-send   stream a file to a service    (<file>, --connect, --spec,
                                             --theta, --lambda, --index,
                                             --quiet, --subscribe N,

@@ -10,24 +10,21 @@ use std::io::Read;
 
 use sssj_core::{EngineSpec, Framework, JoinSpec, WrapperSpec};
 use sssj_index::IndexKind;
-use sssj_net::{ConfigRequest, JoinClient, Server, ServerEngine, ServerOptions, SessionDefaults};
+use sssj_net::{ConfigRequest, JoinClient, Server, ServerOptions, SessionDefaults};
 
 use crate::args::parse;
 use crate::io::load;
 
 /// `sssj net-serve --listen 127.0.0.1:7878 [--spec S] [--theta --lambda
-/// --index --framework --mode --slack] [--shared]
-/// [--engine eventloop|threaded]`
+/// --index --framework --mode --slack] [--shared]`
 ///
 /// `--spec` sets the default join pipeline for every session (any
 /// variant; see `sssj specs`); the scalar flags override its fields.
 ///
 /// `--shared` serves ONE pipeline to every connection instead of a
 /// session per connection: all clients feed/query the same join,
-/// `CONFIG` is refused (the spec is fixed by these flags), and — on the
-/// event-loop engine — `SUBSCRIBE` is real server push driven by other
-/// clients' ingest. `--engine` picks the serving engine explicitly
-/// (default: event loop, or `SSSJ_NET_ENGINE` when set).
+/// `CONFIG` is refused (the spec is fixed by these flags), and
+/// `SUBSCRIBE` is real server push driven by other clients' ingest.
 ///
 /// Serves until stdin reaches EOF, so `sssj net-serve < /dev/null` exits
 /// immediately after binding (useful in scripts) while an interactive run
@@ -41,6 +38,17 @@ fn net_serve_impl(args: &[String], wait_on: &mut impl Read) -> Result<(), String
     if !p.positional.is_empty() {
         return Err("net-serve takes no positional arguments".into());
     }
+    p.only(&[
+        "listen",
+        "spec",
+        "theta",
+        "lambda",
+        "index",
+        "framework",
+        "mode",
+        "slack",
+        "shared",
+    ])?;
     let listen = p.get("listen").unwrap_or("127.0.0.1:7878").to_string();
     let mut defaults = SessionDefaults::default();
     let mut spec = match p.get("spec") {
@@ -79,22 +87,11 @@ fn net_serve_impl(args: &[String], wait_on: &mut impl Read) -> Result<(), String
     }
     spec.validate().map_err(|e| e.to_string())?;
     defaults.spec = spec;
-    let engine = match p.get("engine") {
-        None => ServerEngine::from_env(),
-        Some("eventloop") => ServerEngine::EventLoop,
-        Some("threaded") => ServerEngine::Threaded,
-        Some(other) => {
-            return Err(format!(
-                "--engine must be eventloop or threaded, got {other:?}"
-            ))
-        }
-    };
     let shared = p.flag("shared");
     let server = Server::bind(
         &listen,
         ServerOptions {
             defaults: defaults.clone(),
-            engine,
             shared,
             ..Default::default()
         },
@@ -140,7 +137,7 @@ fn net_serve_impl(args: &[String], wait_on: &mut impl Read) -> Result<(), String
 /// pipeline for *every* client — a subscriber sending no records wants
 /// this), and `--watch SECS` listens passively for that long after the
 /// stream/queries, printing server-pushed updates as they arrive (the
-/// event-loop engine pushes them without this client writing a byte).
+/// server pushes them without this client writing a byte).
 pub fn net_send(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["quiet", "no-finish"])?;
     let [file] = p.positional.as_slice() else {
@@ -564,7 +561,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sssj-net-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // Durable + graph, shared on the event loop: one ingest crosses
+        // Durable + graph on a shared server: one ingest crosses
         // the WAL, the graph publish and the net layer — the full span
         // set the flight recorder promises.
         let spec = format!(
@@ -579,7 +576,6 @@ mod tests {
                     ..Default::default()
                 },
                 shared: true,
-                engine: sssj_net::ServerEngine::EventLoop,
                 ..Default::default()
             },
         )
@@ -702,18 +698,19 @@ mod tests {
                 "--spec",
                 "str-l2?theta=0.5&tau=10&graph",
                 "--shared",
-                "--engine",
-                "eventloop",
             ]),
             &mut empty,
         )
         .unwrap();
+        // The serving engine is not an option: a retired flag is refused
+        // by name, not silently ignored.
         let mut empty: &[u8] = b"";
-        assert!(net_serve_impl(
-            &s(&["--listen", "127.0.0.1:0", "--engine", "poll"]),
-            &mut empty
+        let err = net_serve_impl(
+            &s(&["--listen", "127.0.0.1:0", "--engine", "threaded"]),
+            &mut empty,
         )
-        .is_err());
+        .unwrap_err();
+        assert!(err.contains("unknown option --engine"), "{err}");
     }
 
     #[test]
@@ -733,10 +730,6 @@ mod tests {
                     ..Default::default()
                 },
                 shared: true,
-                // Shared SUBSCRIBE is event-loop-only by design; pin the
-                // engine so the SSSJ_NET_ENGINE=threaded CI lane does not
-                // turn this into a (correctly) refused subscription.
-                engine: sssj_net::ServerEngine::EventLoop,
                 ..Default::default()
             },
         )

@@ -1,12 +1,9 @@
-//! The common streaming-join interface and the algorithm factory.
+//! The common streaming-join interface and the paper's two frameworks.
 
 use std::fmt;
 
-use sssj_index::IndexKind;
 use sssj_metrics::JoinStats;
 use sssj_types::{SimilarPair, StreamRecord};
-
-use crate::{MiniBatch, SssjConfig, Streaming};
 
 /// A streaming similarity self-join algorithm.
 ///
@@ -17,8 +14,7 @@ use crate::{MiniBatch, SssjConfig, Streaming};
 ///
 /// `Send` is a supertrait: a join is *driven* by one thread at a time
 /// but may be *handed between* threads — ingest pipelines move joins
-/// into worker threads, and a shared network session hands its join
-/// from connection thread to connection thread behind a mutex.
+/// into worker threads.
 pub trait StreamJoin: Send {
     /// Consumes one record, appending any pairs it completes to `out`.
     fn process(&mut self, record: &StreamRecord, out: &mut Vec<SimilarPair>);
@@ -191,19 +187,6 @@ impl fmt::Display for Framework {
     }
 }
 
-/// Builds one of the paper's eight algorithm combinations
-/// (framework × index).
-pub fn build_algorithm(
-    framework: Framework,
-    kind: IndexKind,
-    config: SssjConfig,
-) -> Box<dyn StreamJoin> {
-    match framework {
-        Framework::MiniBatch => Box::new(MiniBatch::new(config, kind)),
-        Framework::Streaming => Box::new(Streaming::new(config, kind)),
-    }
-}
-
 /// Runs an algorithm over a full stream and returns all reported pairs.
 pub fn run_stream(join: &mut dyn StreamJoin, stream: &[StreamRecord]) -> Vec<SimilarPair> {
     let mut out = Vec::new();
@@ -217,6 +200,8 @@ pub fn run_stream(join: &mut dyn StreamJoin, stream: &[StreamRecord]) -> Vec<Sim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{JoinSpec, SssjConfig};
+    use sssj_index::IndexKind;
 
     #[test]
     fn framework_parse_roundtrips() {
@@ -232,7 +217,7 @@ mod tests {
         let config = SssjConfig::new(0.7, 0.1);
         for f in Framework::ALL {
             for k in IndexKind::ALL {
-                let join = build_algorithm(f, k, config);
+                let join = JoinSpec::classic(f, k, config).build().unwrap();
                 assert!(join.name().starts_with(&f.to_string()));
             }
         }

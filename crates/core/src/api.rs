@@ -124,8 +124,8 @@
 //! stats` reports) while ingest never blocks on them. A shared
 //! `sssj net-serve --shared` pipeline serves every connection's queries
 //! from that snapshot and pushes subscribed edge updates out-of-band as
-//! snapshots publish; `SSSJ_GRAPH_ORACLE=1` forces the original
-//! mutex-serialized path, kept as the differential oracle. Details in
+//! snapshots publish (`sssj_graph::GraphHandle::new_oracle` is the
+//! mutex-serialized reference the tests compare it against). Details in
 //! `sssj_graph`'s module docs (snapshot cadence, read-your-writes) and
 //! `sssj_net`'s event-loop docs (push framing, drop policy).
 //!

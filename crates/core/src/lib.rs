@@ -56,7 +56,6 @@ pub mod config;
 pub mod decay_join;
 pub mod latency;
 pub mod minibatch;
-pub mod pipeline;
 pub mod reorder;
 pub mod sink;
 pub mod snapshot;
@@ -67,15 +66,12 @@ pub mod topk;
 pub mod verify;
 
 pub use advisor::{advise, advise_from_examples, Advice, AdvisorError};
-pub use algorithm::{
-    build_algorithm, run_stream, Checkpointable, Framework, ShardableJoin, StreamJoin,
-};
+pub use algorithm::{run_stream, Checkpointable, Framework, ShardableJoin, StreamJoin};
 pub use api::{JoinBuilder, PairIter};
 pub use config::SssjConfig;
 pub use decay_join::DecayStreaming;
 pub use latency::{measure_report_delay, DelayStats};
 pub use minibatch::MiniBatch;
-pub use pipeline::{run_threaded, PipelineOutput};
 pub use reorder::{LateRecord, ReorderBuffer};
 pub use sink::{PairSink, SinkedJoin};
 pub use snapshot::{

@@ -129,7 +129,8 @@ impl StreamJoin for CheckedJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{build_algorithm, run_stream, Framework};
+    use crate::algorithm::{run_stream, Framework};
+    use crate::JoinSpec;
     use sssj_index::IndexKind;
     use sssj_types::{vector::unit_vector, Timestamp};
 
@@ -150,8 +151,10 @@ mod tests {
         let config = SssjConfig::new(0.6, 0.05);
         for framework in Framework::ALL {
             for kind in IndexKind::ALL {
-                let mut checked =
-                    CheckedJoin::new(build_algorithm(framework, kind, config), config);
+                let mut checked = CheckedJoin::new(
+                    JoinSpec::classic(framework, kind, config).build().unwrap(),
+                    config,
+                );
                 let out = run_stream(&mut checked, &stream());
                 assert!(!out.is_empty(), "{framework}-{kind}");
                 assert!(checked.name().starts_with("checked("));
@@ -193,7 +196,9 @@ mod tests {
     fn missing_pairs_are_detected() {
         let config = SssjConfig::new(0.6, 0.05);
         let lossy = Lossy {
-            inner: build_algorithm(Framework::Streaming, IndexKind::L2, config),
+            inner: JoinSpec::classic(Framework::Streaming, IndexKind::L2, config)
+                .build()
+                .unwrap(),
             parity: false,
         };
         let mut checked = CheckedJoin::new(Box::new(lossy), config);
@@ -233,7 +238,9 @@ mod tests {
     fn spurious_pairs_are_detected() {
         let config = SssjConfig::new(0.9, 0.5);
         let noisy = Noisy {
-            inner: build_algorithm(Framework::Streaming, IndexKind::L2, config),
+            inner: JoinSpec::classic(Framework::Streaming, IndexKind::L2, config)
+                .build()
+                .unwrap(),
             emitted: false,
         };
         let mut checked = CheckedJoin::new(Box::new(noisy), config);

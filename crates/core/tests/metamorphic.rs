@@ -2,7 +2,7 @@
 //! input with a predictable effect on the output.
 
 use proptest::prelude::*;
-use sssj_core::{build_algorithm, run_stream, Framework, SssjConfig};
+use sssj_core::{run_stream, Framework, JoinSpec, SssjConfig};
 use sssj_index::IndexKind;
 use sssj_types::{SimilarPair, SparseVectorBuilder, StreamRecord, Timestamp};
 
@@ -36,11 +36,13 @@ fn stream(n: usize) -> impl Strategy<Value = Vec<StreamRecord>> {
 }
 
 fn run(records: &[StreamRecord], theta: f64, lambda: f64) -> Vec<SimilarPair> {
-    let mut join = build_algorithm(
+    let mut join = JoinSpec::classic(
         Framework::Streaming,
         IndexKind::L2,
         SssjConfig::new(theta, lambda),
-    );
+    )
+    .build()
+    .unwrap();
     let mut out = run_stream(join.as_mut(), records);
     out.sort_by_key(|p| p.key());
     out

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sssj_baseline::brute_force_stream;
-use sssj_core::{build_algorithm, run_stream, Framework, SssjConfig};
+use sssj_core::{run_stream, Framework, JoinSpec, SssjConfig};
 use sssj_index::IndexKind;
 use sssj_types::{SimilarPair, SparseVectorBuilder, StreamRecord, Timestamp};
 
@@ -65,7 +65,7 @@ proptest! {
         let expected = robust_keys(&brute_force_stream(&records, theta, lambda), theta);
         for framework in Framework::ALL {
             for kind in IndexKind::ALL {
-                let mut join = build_algorithm(framework, kind, config);
+                let mut join = JoinSpec::classic(framework, kind, config).build().unwrap();
                 let got = robust_keys(&run_stream(join.as_mut(), &records), theta);
                 prop_assert_eq!(
                     &got, &expected,
@@ -87,7 +87,7 @@ proptest! {
         expected.sort_by_key(|a| a.key());
         for framework in Framework::ALL {
             for kind in [IndexKind::L2, IndexKind::L2ap] {
-                let mut join = build_algorithm(framework, kind, config);
+                let mut join = JoinSpec::classic(framework, kind, config).build().unwrap();
                 let mut got = run_stream(join.as_mut(), &records);
                 got.sort_by_key(|a| a.key());
                 for (e, g) in expected.iter().zip(got.iter()) {
@@ -111,7 +111,7 @@ proptest! {
     ) {
         let config = SssjConfig::new(theta, lambda);
         for framework in Framework::ALL {
-            let mut join = build_algorithm(framework, IndexKind::L2, config);
+            let mut join = JoinSpec::classic(framework, IndexKind::L2, config).build().unwrap();
             let out = run_stream(join.as_mut(), &records);
             let mut keys: Vec<_> = out.iter().map(|p| p.key()).collect();
             keys.sort_unstable();
@@ -135,7 +135,7 @@ fn preset_streams_match_oracle_on_grid() {
                 let expected = robust_keys(&brute_force_stream(&records, theta, lambda), theta);
                 for framework in Framework::ALL {
                     for kind in IndexKind::ALL {
-                        let mut join = build_algorithm(framework, kind, config);
+                        let mut join = JoinSpec::classic(framework, kind, config).build().unwrap();
                         let got = robust_keys(&run_stream(join.as_mut(), &records), theta);
                         assert_eq!(
                             got, expected,

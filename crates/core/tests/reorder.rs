@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sssj_core::{
-    build_algorithm, run_stream, Framework, ReorderBuffer, SssjConfig, StreamJoin, Streaming,
+    run_stream, Framework, JoinSpec, ReorderBuffer, SssjConfig, StreamJoin, Streaming,
 };
 use sssj_index::IndexKind;
 use sssj_types::{SimilarPair, SparseVectorBuilder, StreamRecord, Timestamp};
@@ -80,10 +80,10 @@ proptest! {
         let config = SssjConfig::new(theta, lambda);
         for framework in Framework::ALL {
             for kind in IndexKind::ALL {
-                let mut reference = build_algorithm(framework, kind, config);
+                let mut reference = JoinSpec::classic(framework, kind, config).build().unwrap();
                 let want = keys(&run_stream(reference.as_mut(), &sorted), theta);
 
-                let inner = build_algorithm(framework, kind, config);
+                let inner = JoinSpec::classic(framework, kind, config).build().unwrap();
                 let mut buffered = ReorderBuffer::new(inner, 6.0);
                 let mut got = Vec::new();
                 for r in &shuffled {

@@ -20,7 +20,6 @@ struct GraphMetrics {
     publishes: &'static Counter,
     touched_nodes: &'static Recorder,
     staleness_ms: &'static Gauge,
-    oracle: &'static Gauge,
 }
 
 fn graph_metrics() -> &'static GraphMetrics {
@@ -39,10 +38,6 @@ fn graph_metrics() -> &'static GraphMetrics {
             staleness_ms: reg.gauge(
                 "sssj_graph_staleness_lag_ms",
                 "stream-time gap between the write side and the published watermark, in milliseconds (0 when clean)",
-            ),
-            oracle: reg.gauge(
-                "sssj_graph_oracle_lane",
-                "1 when SSSJ_GRAPH_ORACLE forces Mutex-path reads, else 0",
             ),
         }
     })
@@ -96,8 +91,8 @@ struct Shared {
     generation: AtomicU64,
     /// Whether the write side has unpublished changes.
     dirty: AtomicBool,
-    /// Forces every read through the write lock (the differential
-    /// oracle — the pre-snapshot Mutex behaviour).
+    /// Forces every read through the write lock
+    /// ([`GraphHandle::new_oracle`], the tests' reference).
     oracle: bool,
 }
 
@@ -138,13 +133,6 @@ struct Cache {
 ///
 /// Each clone carries its own snapshot cache (`RefCell`), so a handle
 /// is `Send` but not `Sync`: give every thread its own clone.
-///
-/// # The oracle flag
-///
-/// `SSSJ_GRAPH_ORACLE=1` (or [`GraphHandle::new_oracle`]) forces every
-/// fresh read through the write lock against the live graph — the
-/// pre-snapshot Mutex path, kept as the differential oracle (CI runs a
-/// forced-oracle lane).
 pub struct GraphHandle {
     shared: Arc<Shared>,
     cache: RefCell<Cache>,
@@ -161,19 +149,6 @@ impl Clone for GraphHandle {
             }),
         }
     }
-}
-
-/// Whether `SSSJ_GRAPH_ORACLE` forces Mutex-path reads (read once).
-fn oracle_from_env() -> bool {
-    static ORACLE: OnceLock<bool> = OnceLock::new();
-    *ORACLE.get_or_init(|| {
-        let on = matches!(
-            std::env::var("SSSJ_GRAPH_ORACLE").as_deref(),
-            Ok("1" | "true" | "yes" | "on")
-        );
-        graph_metrics().oracle.set(on as i64);
-        on
-    })
 }
 
 impl GraphHandle {
@@ -194,12 +169,13 @@ impl GraphHandle {
     /// one (e.g. the net event loop building a serving session) can
     /// never steal an arming intended for a later spec build.
     pub fn with_options(horizon: f64, collect_expired: bool) -> Self {
-        Self::build(horizon, collect_expired, oracle_from_env())
+        Self::build(horizon, collect_expired, false)
     }
 
-    /// A handle whose reads are forced through the write lock (the
-    /// Mutex oracle), regardless of `SSSJ_GRAPH_ORACLE` — what the
-    /// differential suites compare the snapshot path against.
+    /// A handle whose fresh reads go through the write lock against the
+    /// live graph instead of a snapshot — the reference the tests
+    /// compare the snapshot path against.
+    #[doc(hidden)]
     pub fn new_oracle(horizon: f64) -> Self {
         Self::build(horizon, false, true)
     }

@@ -29,9 +29,9 @@
 //!   immutable snapshots (RCU-style `Arc` swap) at a bounded cadence,
 //!   so concurrent readers ([`GraphHandle::snapshot`]) are wait-free at
 //!   steady state and never contend with ingest. Staleness is explicit
-//!   — [`GraphSnapshot::watermark`] — and bounded by the cadence;
-//!   `SSSJ_GRAPH_ORACLE=1` forces the old Mutex read path as the
-//!   differential oracle.
+//!   — [`GraphSnapshot::watermark`] — and bounded by the cadence. The
+//!   tests' reference is `GraphHandle::new_oracle`, whose reads take
+//!   the write lock.
 //! * [`GraphedEngine`] — the [`sssj_core::Checkpointable`] variant: in
 //!   `…&durable=<dir>&graph` pipelines the graph lives inside the
 //!   durability boundary and its live edge set rides the checkpoint aux

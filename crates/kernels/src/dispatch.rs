@@ -73,11 +73,6 @@ fn detected() -> Lane {
             // every lane computes the same answers.
             _ => None,
         };
-        let requested = match requested {
-            Some(lane) => Some(lane),
-            None if std::env::var("SSSJ_FORCE_SCALAR").as_deref() == Ok("1") => Some(Lane::Scalar),
-            None => None,
-        };
         match requested {
             Some(lane) => lane.min(hardware_max()),
             None => hardware_max(),
@@ -88,10 +83,10 @@ fn detected() -> Lane {
 /// The lane kernels will dispatch to right now.
 ///
 /// Resolution order: [`force_lane`] override, then the `SSSJ_KERNELS`
-/// environment variable (`scalar` | `sse4.1` | `avx2` | `auto`; the alias
-/// `SSSJ_FORCE_SCALAR=1` also selects scalar), then the widest lane the
-/// CPU supports. Requests are clamped to the hardware maximum, so asking
-/// for `avx2` on an SSE-only machine degrades rather than faulting.
+/// environment variable (`scalar` | `sse4.1` | `avx2` | `auto`), then
+/// the widest lane the CPU supports. Requests are clamped to the
+/// hardware maximum, so asking for `avx2` on an SSE-only machine
+/// degrades rather than faulting.
 #[inline]
 pub fn active_lane() -> Lane {
     match Lane::from_u8(FORCED.load(Ordering::Relaxed)) {

@@ -18,7 +18,7 @@
 //!
 //! 1. an in-process [`force_lane`] override, if set (benchmark A/B);
 //! 2. the `SSSJ_KERNELS` environment variable — `scalar`, `sse4.1`,
-//!    `avx2`, or `auto` (alias: `SSSJ_FORCE_SCALAR=1`), read once;
+//!    `avx2`, or `auto`, read once;
 //! 3. otherwise the widest lane the CPU reports via
 //!    `is_x86_feature_detected!`.
 //!

@@ -79,12 +79,17 @@ static TELEMETRY_ON: AtomicBool = AtomicBool::new(true);
 static TELEMETRY_INIT: Once = Once::new();
 
 /// Whether recording is enabled this process (the `SSSJ_TELEMETRY` gate,
-/// resolved once at first registry use).
+/// resolved once at first registry use or first ask, whichever is
+/// earlier).
 #[inline]
 pub fn telemetry_enabled() -> bool {
+    if !TELEMETRY_INIT.is_completed() {
+        init_gate();
+    }
     TELEMETRY_ON.load(Relaxed)
 }
 
+#[cold]
 fn init_gate() {
     TELEMETRY_INIT.call_once(|| {
         let off = std::env::var("SSSJ_TELEMETRY")

@@ -31,7 +31,7 @@
 //! # Session modes
 //!
 //! *Per-session* (default): each connection owns a [`Session`] — its own
-//! pipeline, its own stream — exactly the threaded engine's semantics.
+//! pipeline, its own stream.
 //!
 //! *Shared* ([`crate::ServerOptions::shared`]): all connections feed and
 //! query **one** session. Queries are served from the graph's published
@@ -56,7 +56,7 @@ use sssj_types::SimilarPair;
 
 use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{EngineLabel, Request, Response};
-use crate::server::{connections_gauge, ServerOptions};
+use crate::server::{connections_gauge, Framed, LineBuf, ServerOptions};
 use crate::session::Session;
 
 /// Lines processed per connection per iteration before yielding to the
@@ -168,10 +168,8 @@ struct SharedPipeline {
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
-    /// Unconsumed input; `scanned` bytes from the front are known
-    /// newline-free (resumed scans stay linear on split reads).
-    rbuf: Vec<u8>,
-    scanned: usize,
+    /// Unconsumed input, framed into lines.
+    lines: LineBuf,
     /// Pending output, drained from `wpos`.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -207,8 +205,7 @@ impl Conn {
         };
         Conn {
             stream,
-            rbuf: Vec::new(),
-            scanned: 0,
+            lines: LineBuf::default(),
             wbuf: Vec::new(),
             wpos: 0,
             session,
@@ -229,30 +226,6 @@ impl Conn {
 
     fn pending_out(&self) -> usize {
         self.wbuf.len() - self.wpos
-    }
-
-    /// Index of the next newline, or `None` (advancing `scanned` so the
-    /// searched prefix is never rescanned).
-    fn find_newline(&mut self) -> Option<usize> {
-        match self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
-            Some(i) => Some(self.scanned + i),
-            None => {
-                self.scanned = self.rbuf.len();
-                None
-            }
-        }
-    }
-
-    /// Consumes and returns the next complete line (CRLF-stripped).
-    fn take_line(&mut self, newline_at: usize) -> String {
-        let rest = self.rbuf.split_off(newline_at + 1);
-        let mut line = std::mem::replace(&mut self.rbuf, rest);
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        self.scanned = 0;
-        String::from_utf8_lossy(&line).into_owned()
     }
 }
 
@@ -388,7 +361,7 @@ pub(crate) fn run(
                         break;
                     }
                     Ok(n) => {
-                        conn.rbuf.extend_from_slice(&chunk[..n]);
+                        conn.lines.push(&chunk[..n]);
                         budget = budget.saturating_sub(n);
                         if budget == 0 {
                             break;
@@ -566,21 +539,22 @@ fn process_lines(
     conn.line_ready = false;
     loop {
         if processed >= QUANTUM || conn.pending_out() >= options.write_buf_cap {
-            conn.line_ready = conn.find_newline().is_some();
+            conn.line_ready = conn.lines.has_line();
             return;
         }
-        let Some(nl) = conn.find_newline() else {
-            if conn.rbuf.len() > options.max_line_bytes {
+        let line = match conn.lines.next_line(options.max_line_bytes) {
+            Framed::Line(line) => line,
+            Framed::Partial => return,
+            Framed::TooLong => {
                 responses.clear();
                 responses.push(Response::Err("line exceeds size cap".into()));
                 for r in responses.iter() {
                     append_response(&mut conn.wbuf, r);
                 }
                 conn.closing = true;
+                return;
             }
-            return;
         };
-        let line = conn.take_line(nl);
         processed += 1;
         if line.trim().is_empty() {
             continue;

@@ -7,11 +7,10 @@
 //! in: producers push timestamped items over a socket and receive each
 //! similar pair the moment it completes.
 //!
-//! * [`Server`] — accepts connections, behind either of two engines
-//!   ([`ServerEngine`]): a readiness-multiplexed event loop (default;
-//!   epoll on Linux x86-64) or the thread-per-connection baseline. Each
-//!   connection is an independent session running its own join (θ, λ,
-//!   index, framework and out-of-order slack are all per-session,
+//! * [`Server`] — accepts connections and serves them all from one
+//!   readiness-multiplexed event-loop thread (epoll on Linux x86-64).
+//!   Each connection is an independent session running its own join (θ,
+//!   λ, index, framework and out-of-order slack are all per-session,
 //!   negotiated via `CONFIG`) — or, with [`ServerOptions::shared`], all
 //!   connections feed and query **one** pipeline, queries are served
 //!   wait-free from published graph snapshots, and `SUBSCRIBE` is real
@@ -79,7 +78,7 @@ pub use client::{JoinClient, NetError};
 pub use protocol::{
     ConfigRequest, EngineLabel, GraphQuery, Request, Response, SessionMode, SessionStats,
 };
-pub use server::{Server, ServerEngine, ServerOptions};
+pub use server::{Server, ServerOptions};
 pub use session::{Session, SessionDefaults};
 
 /// Registers the downstream engines (LSH, sharded), the durable store,

@@ -284,12 +284,11 @@ fn blank_lines_are_ignored() {
     writer.flush().unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
-    // An event-loop server prefixes the S line with its stall-probe
-    // reading; blank lines themselves must produce no reply either way.
-    if line.starts_with("G loop_stalls=") {
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-    }
+    // Blank lines produce no reply: the first line back is already the
+    // STATS answer, led by the loop's stall-probe reading.
+    assert!(line.starts_with("G loop_stalls="), "got {line:?}");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
     assert!(line.starts_with("S "), "got {line:?}");
     server.shutdown();
 }
@@ -304,19 +303,11 @@ fn stats_and_metrics_report_the_serving_shape() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.records, 2);
     assert!(!stats.shared, "per-session server");
-    match std::env::var("SSSJ_NET_ENGINE").as_deref() {
-        Ok("threaded") => {
-            assert_eq!(stats.engine, sssj_net::EngineLabel::Threaded);
-            assert_eq!(client.loop_stalls(), None, "no loop to stall");
-        }
-        _ => {
-            assert_eq!(stats.engine, sssj_net::EngineLabel::EventLoop);
-            assert!(
-                client.loop_stalls().is_some(),
-                "event-loop STATS carries the stall probe"
-            );
-        }
-    }
+    assert_eq!(stats.engine, sssj_net::EngineLabel::EventLoop);
+    assert!(
+        client.loop_stalls().is_some(),
+        "STATS carries the loop's stall probe"
+    );
 
     let lines = client.metrics().unwrap();
     if sssj_metrics::telemetry_enabled() {

@@ -1,27 +1,23 @@
 //! End-to-end tests of shared-pipeline serving over real loopback
-//! sockets: the multiplexed event-loop engine, real server-push
-//! `SUBSCRIBE`, the threaded shared baseline, and wire compatibility
-//! for clients that never subscribe.
+//! sockets: the multiplexed event loop, real server-push `SUBSCRIBE`,
+//! and wire compatibility for clients that never subscribe.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sssj_net::{
-    ConfigRequest, JoinClient, NetError, Server, ServerEngine, ServerOptions, SessionDefaults,
-};
+use sssj_net::{ConfigRequest, JoinClient, NetError, Server, ServerOptions, SessionDefaults};
 
 /// A shared-pipeline server over the paper's streaming join with the
 /// live graph wrapper — the spec every connection serves, since shared
 /// mode refuses `CONFIG`.
-fn shared_options(engine: ServerEngine) -> ServerOptions {
+fn shared_options() -> ServerOptions {
     ServerOptions {
         defaults: SessionDefaults {
             spec: "str-l2?theta=0.5&tau=1000&graph".parse().unwrap(),
             ..Default::default()
         },
-        engine,
         shared: true,
         ..Default::default()
     }
@@ -29,7 +25,7 @@ fn shared_options(engine: ServerEngine) -> ServerOptions {
 
 #[test]
 fn shared_event_loop_pushes_updates_to_passive_subscribers() {
-    let server = Server::bind("127.0.0.1:0", shared_options(ServerEngine::EventLoop)).unwrap();
+    let server = Server::bind("127.0.0.1:0", shared_options()).unwrap();
     let mut sub = JoinClient::connect(server.local_addr()).unwrap();
     sub.subscribe(0).unwrap();
     sub.subscribe(1).unwrap();
@@ -62,7 +58,7 @@ fn shared_event_loop_pushes_updates_to_passive_subscribers() {
 
 #[test]
 fn shared_event_loop_reads_see_your_own_writes() {
-    let server = Server::bind("127.0.0.1:0", shared_options(ServerEngine::EventLoop)).unwrap();
+    let server = Server::bind("127.0.0.1:0", shared_options()).unwrap();
     let mut a = JoinClient::connect(server.local_addr()).unwrap();
     assert!(a.send_vector(0.0, &[(3, 1.0)]).unwrap().is_empty());
     assert_eq!(a.send_vector(1.0, &[(3, 1.0)]).unwrap().len(), 1);
@@ -94,12 +90,14 @@ fn shared_event_loop_reads_see_your_own_writes() {
             ("components".to_string(), 1),
         ]
     );
+    // Both connections drive the same join: b's record pairs with a's.
+    assert_eq!(b.send_vector(2.0, &[(3, 1.0)]).unwrap().len(), 2);
     server.shutdown();
 }
 
 #[test]
 fn pushed_frames_land_only_between_replies() {
-    let server = Server::bind("127.0.0.1:0", shared_options(ServerEngine::EventLoop)).unwrap();
+    let server = Server::bind("127.0.0.1:0", shared_options()).unwrap();
     let addr = server.local_addr();
 
     // A raw-socket subscriber that keeps querying while another client
@@ -163,7 +161,7 @@ fn pushed_frames_land_only_between_replies() {
 
 #[test]
 fn push_queue_overflow_drops_oldest_and_reports_coalesced_d() {
-    let mut options = shared_options(ServerEngine::EventLoop);
+    let mut options = shared_options();
     options.push_queue_cap = 1;
     let server = Server::bind("127.0.0.1:0", options).unwrap();
     let mut sub = JoinClient::connect(server.local_addr()).unwrap();
@@ -210,69 +208,12 @@ fn push_queue_overflow_drops_oldest_and_reports_coalesced_d() {
 }
 
 #[test]
-fn threaded_shared_serializes_one_pipeline_without_push() {
-    let server = Server::bind("127.0.0.1:0", shared_options(ServerEngine::Threaded)).unwrap();
-    let mut a = JoinClient::connect(server.local_addr()).unwrap();
-    let mut b = JoinClient::connect(server.local_addr()).unwrap();
-
-    // Real push needs the event loop; the threaded baseline says so.
-    assert!(matches!(
-        b.subscribe(0),
-        Err(NetError::Server(m)) if m.contains("event-loop")
-    ));
-    // `CONFIG` is refused in shared mode here too.
-    assert!(matches!(
-        a.configure(ConfigRequest {
-            theta: Some(0.9),
-            ..Default::default()
-        }),
-        Err(NetError::Server(_))
-    ));
-
-    // Both connections drive the same join.
-    a.send_vector(0.0, &[(5, 1.0)]).unwrap();
-    a.send_vector(1.0, &[(5, 1.0)]).unwrap();
-    assert_eq!(b.query_neighbors(0).unwrap().len(), 1);
-
-    // QUIT closes one connection, not the pipeline.
-    b.quit().unwrap();
-    let mut c = JoinClient::connect(server.local_addr()).unwrap();
-    assert_eq!(c.query_component(1).unwrap(), (0, 2));
-    a.send_vector(2.0, &[(5, 1.0)]).unwrap();
-    server.shutdown();
-}
-
-#[test]
-fn threaded_engine_still_serves_per_session_clients() {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerOptions {
-            engine: ServerEngine::Threaded,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut client = JoinClient::connect(server.local_addr()).unwrap();
-    client
-        .configure(ConfigRequest {
-            theta: Some(0.7),
-            lambda: Some(0.1),
-            ..Default::default()
-        })
-        .unwrap();
-    assert!(client.send_vector(0.0, &[(7, 1.0)]).unwrap().is_empty());
-    assert_eq!(client.send_vector(1.0, &[(7, 1.0)]).unwrap().len(), 1);
-    client.quit().unwrap();
-    server.shutdown();
-}
-
-#[test]
 fn scan_poll_backend_serves_shared_push_too() {
     // Force the portable fallback poller. The variable stays set until
     // a full round-trip proves the loop (and hence its poller) exists —
     // `bind` does not wait for the loop thread to start.
     std::env::set_var("SSSJ_NET_POLL", "scan");
-    let server = Server::bind("127.0.0.1:0", shared_options(ServerEngine::EventLoop)).unwrap();
+    let server = Server::bind("127.0.0.1:0", shared_options()).unwrap();
     let mut sub = JoinClient::connect(server.local_addr()).unwrap();
     sub.subscribe(0).unwrap();
     std::env::remove_var("SSSJ_NET_POLL");

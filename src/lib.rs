@@ -446,10 +446,10 @@ pub fn register_all_engines() {
 pub mod prelude {
     pub use crate::register_all_engines;
     pub use sssj_core::{
-        advise, advise_from_examples, build_algorithm, read_snapshot, run_stream, Advice,
-        Checkpointable, DecaySpec, DecayStreaming, EngineSpec, Framework, JoinBuilder, JoinSpec,
-        LshSpec, MiniBatch, RecoverableJoin, ReorderBuffer, ShardableJoin, ShardedInner, SpecError,
-        SssjConfig, StreamJoin, Streaming, TopKJoin, WrapperSpec,
+        advise, advise_from_examples, read_snapshot, run_stream, Advice, Checkpointable, DecaySpec,
+        DecayStreaming, EngineSpec, Framework, JoinBuilder, JoinSpec, LshSpec, MiniBatch,
+        RecoverableJoin, ReorderBuffer, ShardableJoin, ShardedInner, SpecError, SssjConfig,
+        StreamJoin, Streaming, TopKJoin, WrapperSpec,
     };
     pub use sssj_graph::{GraphHandle, GraphJoin, GraphStats, SimilarityGraph};
     pub use sssj_index::{all_pairs, BatchIndex, BoundPolicy, IndexKind};

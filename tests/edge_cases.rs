@@ -19,7 +19,9 @@ fn check_all(records: &[StreamRecord], theta: f64, lambda: f64, label: &str) {
     let expected = keys(&brute_force_stream(records, theta, lambda), theta);
     for framework in Framework::ALL {
         for kind in IndexKind::ALL {
-            let mut join = build_algorithm(framework, kind, SssjConfig::new(theta, lambda));
+            let mut join = JoinSpec::classic(framework, kind, SssjConfig::new(theta, lambda))
+                .build()
+                .unwrap();
             let got = keys(&run_stream(join.as_mut(), records), theta);
             assert_eq!(got, expected, "{label}: {framework}-{kind}");
         }
@@ -93,7 +95,7 @@ fn theta_one_exact_duplicates_only() {
     let mut outputs = Vec::new();
     for framework in Framework::ALL {
         for kind in IndexKind::ALL {
-            let mut join = build_algorithm(framework, kind, config);
+            let mut join = JoinSpec::classic(framework, kind, config).build().unwrap();
             let mut got: Vec<_> = run_stream(join.as_mut(), &records)
                 .iter()
                 .map(|p| p.key())
@@ -141,7 +143,9 @@ fn shrinking_max_weights() {
 fn empty_stream_is_fine() {
     for framework in Framework::ALL {
         for kind in IndexKind::ALL {
-            let mut join = build_algorithm(framework, kind, SssjConfig::new(0.5, 0.1));
+            let mut join = JoinSpec::classic(framework, kind, SssjConfig::new(0.5, 0.1))
+                .build()
+                .unwrap();
             let out = run_stream(join.as_mut(), &[]);
             assert!(out.is_empty());
         }
@@ -154,7 +158,9 @@ fn disjoint_vectors_produce_no_work_pairs() {
         .map(|i| rec(i, i as f64, &[(i as u32, 1.0)]))
         .collect();
     for framework in Framework::ALL {
-        let mut join = build_algorithm(framework, IndexKind::L2, SssjConfig::new(0.5, 0.01));
+        let mut join = JoinSpec::classic(framework, IndexKind::L2, SssjConfig::new(0.5, 0.01))
+            .build()
+            .unwrap();
         let out = run_stream(join.as_mut(), &records);
         assert!(out.is_empty());
         assert_eq!(join.stats().pairs_output, 0);

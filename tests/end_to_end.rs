@@ -24,7 +24,9 @@ fn all_presets_all_algorithms_match_oracle() {
         let expected = keys(&brute_force_stream(&records, theta, lambda), theta);
         for framework in Framework::ALL {
             for kind in IndexKind::ALL {
-                let mut join = build_algorithm(framework, kind, SssjConfig::new(theta, lambda));
+                let mut join = JoinSpec::classic(framework, kind, SssjConfig::new(theta, lambda))
+                    .build()
+                    .unwrap();
                 let got = keys(&run_stream(join.as_mut(), &records), theta);
                 assert_eq!(got, expected, "{framework}-{kind} on {p}");
             }
@@ -66,8 +68,16 @@ fn mb_and_str_report_identical_scores() {
         out.sort_by_key(|a| a.key());
         out
     };
-    let mb = collect(build_algorithm(Framework::MiniBatch, IndexKind::L2, config));
-    let st = collect(build_algorithm(Framework::Streaming, IndexKind::L2, config));
+    let mb = collect(
+        JoinSpec::classic(Framework::MiniBatch, IndexKind::L2, config)
+            .build()
+            .unwrap(),
+    );
+    let st = collect(
+        JoinSpec::classic(Framework::Streaming, IndexKind::L2, config)
+            .build()
+            .unwrap(),
+    );
     assert_eq!(mb.len(), st.len());
     for (a, b) in mb.iter().zip(&st) {
         assert_eq!(a.key(), b.key());

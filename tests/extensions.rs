@@ -43,7 +43,9 @@ fn all_exact_joins_agree() {
 
     let mut variants: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
     for framework in Framework::ALL {
-        let mut join = build_algorithm(framework, IndexKind::L2, config);
+        let mut join = JoinSpec::classic(framework, IndexKind::L2, config)
+            .build()
+            .unwrap();
         variants.push((
             join.name(),
             sorted_keys(&run_stream(join.as_mut(), &stream)),

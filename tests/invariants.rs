@@ -10,7 +10,7 @@ fn run(
     config: SssjConfig,
     records: &[StreamRecord],
 ) -> (Vec<(u64, u64)>, sssj::metrics::JoinStats) {
-    let mut join = build_algorithm(framework, kind, config);
+    let mut join = JoinSpec::classic(framework, kind, config).build().unwrap();
     let mut keys: Vec<_> = run_stream(join.as_mut(), records)
         .iter()
         .map(|p| p.key())
