@@ -18,6 +18,28 @@
 //! Keys far outside the dense window (arbitrary `u64`s are allowed by the
 //! API) fall back to a small open-addressing spill table with the same
 //! epoch discipline, so correctness never depends on id density.
+//!
+//! # The chunk path
+//!
+//! STR-L2 spends most of a dense record in
+//! [`ScoreAccumulator::accumulate_batch_rev`], replaying kernel-prepared
+//! chunks of up to 64 postings. A time-ordered posting list holds its
+//! ids in arrival order, so a chunk's ids are strictly rising and land
+//! in distinct slots; once a chunk is checked to be that — at least 8
+//! entries, all inside the allocated dense window — the per-entry
+//! branches (live? positive? admit? prune?) become masks with
+//! unconditional stores. Short, unsorted, repeated or out-of-window
+//! chunks, and targets other than x86-64, keep the per-entry loop; both
+//! paths produce the same touch order, scores (bit for bit) and
+//! admitted count.
+//!
+//! The score blend runs in SSE2 registers (`_mm_and_pd`, `_mm_cmplt_sd`,
+//! `_mm_andnot_pd`) rather than as `f64` bit masks in plain Rust: rustc
+//! 1.95 compiles the plain-Rust blend back into two data-dependent jumps
+//! per entry (`je` on the live-slot select, `jbe` on the prune compare).
+//! In registers the loop keeps no jump but its bounds checks and back
+//! edge (`objdump -d --no-show-raw-insn` shows both forms). SSE2 is part
+//! of the x86-64 baseline, so there is no runtime dispatch.
 
 const EMPTY: u64 = u64::MAX;
 
@@ -184,7 +206,9 @@ impl ScoreAccumulator {
     /// exact per-entry traversal of the scalar loop). A touched entry
     /// whose new score falls below its prune threshold is zeroed on the
     /// spot — Algorithm 3's candidate pruning. Returns how many entries
-    /// were newly admitted.
+    /// were newly admitted. Chunks of rising ids inside the dense window
+    /// take a jump-free replay with the identical result (see
+    /// [the chunk path](self#the-chunk-path)).
     pub fn accumulate_batch_rev(
         &mut self,
         ids: &[u64],
@@ -195,6 +219,13 @@ impl ScoreAccumulator {
         debug_assert!(
             ids.len() == deltas.len() && ids.len() == admit.len() && ids.len() == prune_below.len()
         );
+        // SAFETY: SSE2 is part of the x86-64 baseline; every x86-64 CPU
+        // has the one target feature `replay_distinct_rev` enables.
+        #[cfg(target_arch = "x86_64")]
+        if let Some(admitted) = unsafe { self.replay_distinct_rev(ids, deltas, admit, prune_below) }
+        {
+            return admitted;
+        }
         let mut admitted = 0u32;
         for i in (0..ids.len()).rev() {
             let new = match self.accumulate(ids[i], deltas[i], admit[i] != 0) {
@@ -210,6 +241,76 @@ impl ScoreAccumulator {
             }
         }
         admitted
+    }
+
+    /// The chunk fast path of [`Self::accumulate_batch_rev`], or `None`
+    /// (nothing touched) when the chunk does not qualify: it needs at
+    /// least 8 entries and strictly rising ids — so the first and last id
+    /// bound the chunk, and every entry owns a distinct slot — that all
+    /// lie inside the allocated dense window (no growth, no spill).
+    ///
+    /// The replay is then the per-entry rule of [`Self::accumulate`] +
+    /// [`Self::zero`] as mask arithmetic with unconditional stores: the
+    /// slot state becomes integer masks, the score blend runs in SSE2
+    /// registers, and `touched` takes every offset but only advances
+    /// past a fresh slot. No jump depends on the data.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn replay_distinct_rev(
+        &mut self,
+        ids: &[u64],
+        deltas: &[f64],
+        admit: &[u8],
+        prune_below: &[f64],
+    ) -> Option<u32> {
+        use std::arch::x86_64::{
+            __m128d, _mm_add_sd, _mm_and_pd, _mm_andnot_pd, _mm_castsi128_pd, _mm_cmplt_sd,
+            _mm_cvtsd_f64, _mm_cvtsi64_si128, _mm_or_pd, _mm_set_sd,
+        };
+        let n = ids.len();
+        let window = self.vals.len().min(DENSE_SPAN_LIMIT as usize) as u64;
+        if n < 8
+            || ids[0] < self.base
+            || ids[n - 1].wrapping_sub(self.base) >= window
+            || !ids.windows(2).all(|w| w[0] < w[1])
+        {
+            return None;
+        }
+        let mask = |on: bool| -> __m128d { _mm_castsi128_pd(_mm_cvtsi64_si128(-(on as i64))) };
+        let (base, epoch) = (self.base, self.epoch);
+        let start = self.touched.len();
+        self.touched.resize(start + n, 0);
+        // Slices, not fields: their pointers and lengths stay in registers
+        // across the stores below.
+        let vals = &mut self.vals[..];
+        let stamps = &mut self.stamps[..vals.len()];
+        let touched = &mut self.touched[start..];
+        let mut fresh = 0;
+        let mut admitted = 0u32;
+        for i in (0..n).rev() {
+            let off = (ids[i] - base) as usize;
+            let stamp = stamps[off];
+            let v = vals[off];
+            let live = stamp == epoch;
+            let upd = live & (v > 0.0);
+            let adm = !upd & (admit[i] != 0);
+            let take = upd | adm;
+            // cur = live ? v : 0; new = cur + δ; kept = new < prune ? 0 : new;
+            // store take ? kept : v.
+            let old = _mm_set_sd(v);
+            let new = _mm_add_sd(_mm_and_pd(old, mask(live)), _mm_set_sd(deltas[i]));
+            let kept = _mm_andnot_pd(_mm_cmplt_sd(new, _mm_set_sd(prune_below[i])), new);
+            let take_m = mask(take);
+            let out = _mm_or_pd(_mm_and_pd(take_m, kept), _mm_andnot_pd(take_m, old));
+            vals[off] = _mm_cvtsd_f64(out);
+            stamps[off] = stamp ^ ((stamp ^ epoch) & (take as u32).wrapping_neg());
+            touched[fresh] = off as u32;
+            fresh += (take & !live) as usize;
+            admitted += adm as u32;
+        }
+        self.touched.truncate(start + fresh);
+        Some(admitted)
     }
 
     /// The unconditional-admission variant of [`Self::accumulate_batch_rev`]

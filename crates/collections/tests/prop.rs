@@ -2,7 +2,9 @@
 //! reference implementation under random operation sequences.
 
 use proptest::prelude::*;
-use sssj_collections::{CircularBuffer, DecayedMaxVec, LinkedHashMap};
+use sssj_collections::{
+    Accumulated, CircularBuffer, DecayedMaxVec, LinkedHashMap, ScoreAccumulator,
+};
 use std::collections::VecDeque;
 
 #[derive(Clone, Debug)]
@@ -237,6 +239,139 @@ proptest! {
             for probe in 0..4 {
                 prop_assert!(wm.max(probe, t) >= dm.get(probe, t) - 1e-12);
             }
+        }
+    }
+}
+
+/// Offsets from the floor at or past this go to the accumulator's spill
+/// table (its private `DENSE_SPAN_LIMIT`).
+const SPILL_OFFSET: u64 = 1 << 22;
+
+/// Score deltas: dyadic values whose sums hit exact zeros and negatives,
+/// signed zeros, and arbitrary values.
+fn acc_delta() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        3 => prop::sample::select(vec![0.25, 0.5, 1.0, -0.25, -0.5, -1.0]),
+        1 => prop::sample::select(vec![0.0, -0.0]),
+        2 => -1.0f64..1.0,
+    ]
+}
+
+/// Per-entry prune thresholds, NaN and infinities included.
+fn acc_prune() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        3 => -0.5f64..1.5,
+        1 => prop::sample::select(vec![0.0, 0.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+    ]
+}
+
+/// Batch ids relative to `floor`, by shape: strictly rising inside the
+/// dense window (0), starting below the floor (1), running past the
+/// dense array (growth, 2), ending past the dense span limit (3), rising
+/// with repeats (4), and unsorted (5).
+fn batch_ids(shape: u8, floor: u64, gaps: &[u64]) -> Vec<u64> {
+    let first = gaps.first().map_or(0, |&g| g);
+    let rising = |start: u64, min_gap: u64| {
+        let mut id = start;
+        gaps.iter()
+            .map(|&g| {
+                let here = id;
+                id += g.max(min_gap);
+                here
+            })
+            .collect::<Vec<u64>>()
+    };
+    match shape {
+        0 => rising(floor + first, 1),
+        1 => rising(floor - 5, 1),
+        2 => rising(floor + 250, 1),
+        3 => {
+            let mut ids = rising(floor + first, 1);
+            if let Some(last) = ids.last_mut() {
+                *last = floor + SPILL_OFFSET + first;
+            }
+            ids
+        }
+        4 => rising(floor + first, 0),
+        _ => gaps.iter().map(|&g| floor + g * 37 % 300).collect(),
+    }
+}
+
+/// The per-entry reference for `accumulate_batch_rev`: newest entry
+/// first, `accumulate` then `zero` when the new score falls below the
+/// entry's threshold.
+fn batch_rev_reference(
+    acc: &mut ScoreAccumulator,
+    ids: &[u64],
+    deltas: &[f64],
+    admit: &[u8],
+    prune: &[f64],
+) -> u32 {
+    let mut admitted = 0;
+    for i in (0..ids.len()).rev() {
+        let new = match acc.accumulate(ids[i], deltas[i], admit[i] != 0) {
+            Accumulated::Updated(new) => new,
+            Accumulated::Admitted(new) => {
+                admitted += 1;
+                new
+            }
+            Accumulated::Skipped => continue,
+        };
+        if new < prune[i] {
+            acc.zero(ids[i]);
+        }
+    }
+    admitted
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `accumulate_batch_rev` equals its per-entry reference bit for bit —
+    /// admitted count, touched set, touch order and every score — over
+    /// batch lengths either side of any chunk-size cut-off, every id
+    /// shape, and pre-existing stale, live, zeroed and negative slots.
+    #[test]
+    fn accumulator_batch_rev_matches_per_entry_model(
+        floor in 10u64..1000,
+        pre in proptest::collection::vec((0u64..300, acc_delta(), 0u8..4), 0..60),
+        len in prop::sample::select(vec![0usize, 1, 7, 8, 9, 63, 64]),
+        shape in 0u8..6,
+        entries in proptest::collection::vec(
+            (0u64..4, acc_delta(), any::<bool>(), acc_prune()), 64..=64),
+    ) {
+        let mut sys = ScoreAccumulator::new();
+        sys.advance_floor(floor);
+        // Size the dense array past every in-window shape's reach.
+        sys.add(floor + 255, 0.5);
+        for (i, &(k, delta, op)) in pre.iter().enumerate() {
+            // Halfway, start a new epoch: earlier slots go stale.
+            if i == pre.len() / 2 {
+                sys.clear();
+            }
+            let key = floor + k - 8; // a few keys below the floor
+            match op {
+                0 => { sys.accumulate(key, delta, true); }
+                1 => { sys.accumulate(key, delta, false); }
+                2 => { sys.add(key, delta); }
+                _ => sys.zero(key),
+            }
+        }
+        let gaps: Vec<u64> = entries[..len].iter().map(|e| e.0).collect();
+        let ids = batch_ids(shape, floor, &gaps);
+        let deltas: Vec<f64> = entries[..len].iter().map(|e| e.1).collect();
+        let admit: Vec<u8> = entries[..len].iter().map(|e| e.2 as u8).collect();
+        let prune: Vec<f64> = entries[..len].iter().map(|e| e.3).collect();
+        let mut model = sys.clone();
+        // Twice: the second pass meets the slots the first one touched.
+        for pass in 0..2 {
+            let got = sys.accumulate_batch_rev(&ids, &deltas, &admit, &prune);
+            let want = batch_rev_reference(&mut model, &ids, &deltas, &admit, &prune);
+            prop_assert_eq!(got, want, "admitted, pass {}", pass);
+            prop_assert_eq!(sys.len(), model.len());
+            let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            prop_assert_eq!(have, want, "pass {}", pass);
         }
     }
 }

@@ -27,6 +27,7 @@ use sssj_metrics::JoinStats;
 use sssj_types::{dot, DecayModel, SimilarPair, SparseVector, StreamRecord, VectorId};
 
 use crate::algorithm::{ShardableJoin, StreamJoin};
+use crate::streaming::horizon_cutoff;
 
 /// Same safe-side slack as the exponential STR implementation.
 const PRUNE_EPS: f64 = 1e-12;
@@ -147,8 +148,7 @@ impl DecayStreaming {
         // The accumulator was cleared by `process` (before the dense
         // window slid); no further reset is needed here.
         let theta_slack = self.theta - PRUNE_EPS;
-        let tau = self.tau;
-        let cutoff = now - tau;
+        let cutoff = horizon_cutoff(now, self.tau);
         let model = self.model;
 
         // rs1w = Σ_j x_j · max over the window of coordinate j, shrunk as
@@ -181,7 +181,8 @@ impl DecayStreaming {
                 // before this coordinate has mass rst − x_j².
                 let xnorm_before = (rst - xj * xj).max(0.0).sqrt();
                 // Time-ordered list: the expired prefix is exactly the
-                // entries with t < now − τ; drop it in O(log n) + O(1).
+                // entries with now − t > τ, i.e. t < cutoff; drop it in
+                // O(log n) + O(1).
                 let pruned = list.expire_before(cutoff);
                 if pruned > 0 {
                     stats.entries_pruned += pruned as u64;

@@ -16,8 +16,11 @@
 //!   `sssj_collections::posting`);
 //! * the candidate score array is a dense, epoch-stamped
 //!   [`ScoreAccumulator`] sliding over the live id window — O(1) reset,
-//!   no hashing, one fused probe per entry
-//!   ([`ScoreAccumulator::accumulate`]);
+//!   no hashing; a posting chunk's ids are strictly rising, so
+//!   [`ScoreAccumulator::accumulate_batch_rev`] replays each full chunk
+//!   with one window check and no data-dependent jump, and falls back to
+//!   one fused probe per entry ([`ScoreAccumulator::accumulate`]) for
+//!   short or irregular chunks;
 //! * the decay factor `e^{-λΔt}` is read from a quantized upper-bound
 //!   [`DecayTable`] inside all *pruning* tests (safe: a larger factor
 //!   prunes less) and computed exactly only for the final similarity of
@@ -50,6 +53,38 @@ use crate::config::SssjConfig;
 /// this amount (prune *less*), so accumulated rounding can never cause a
 /// false negative; the final exact check still uses the true `θ`.
 const PRUNE_EPS: f64 = 1e-12;
+
+/// The oldest time still inside the horizon at `now`: the least `c` with
+/// `now − c ≤ τ`. Cutting a time-ordered list at `t < c` then drops
+/// exactly the entries with `now − t > τ`, the test the residual
+/// metadata (and the brute-force oracle) expire by. The naive `now − τ`
+/// can land an ulp either side of that edge, and a posting would then
+/// die while its vector still pairs (`tests/horizon_boundary.rs`).
+pub(crate) fn horizon_cutoff(now: f64, tau: f64) -> f64 {
+    let inside = |c: f64| now - c <= tau;
+    let c = now - tau;
+    if !c.is_finite() || (inside(c) && !inside(c.next_down())) {
+        return c;
+    }
+    // Rare: bracket the edge by a few ulps of the larger operand and
+    // bisect over the total order of doubles (`f64::total_cmp`'s key,
+    // an involution on the bit pattern).
+    let flip = |b: i64| b ^ (((b >> 63) as u64) >> 1) as i64;
+    let key = |x: f64| flip(x.to_bits() as i64);
+    let at = |k: i64| f64::from_bits(flip(k) as u64);
+    let step = now.abs().max(tau) * (4.0 * f64::EPSILON);
+    let (mut lo, mut hi) = (key(c - step), key(c + step));
+    debug_assert!(!inside(at(lo)) && inside(at(hi)));
+    while lo + 1 < hi {
+        let mid = lo.midpoint(hi);
+        if inside(at(mid)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    at(hi)
+}
 
 /// A pooled residual vector: the un-indexed prefix `R[ι(y)]`, stored as
 /// raw dimension/weight columns so expired vectors hand their buffers
@@ -262,7 +297,7 @@ impl Streaming {
         let theta_slack = theta - PRUNE_EPS;
         let policy = self.policy;
         let tau = self.tau;
-        let cutoff = now - tau;
+        let cutoff = horizon_cutoff(now, tau);
         let sz1 = if policy.ap {
             let summary = VectorSummary::of(x);
             if summary.max_weight > 0.0 {
@@ -316,8 +351,8 @@ impl Streaming {
                 };
                 if time_ordered {
                     // Time-ordered list: the expired prefix is exactly the
-                    // entries with t < now − τ. Drop it in O(log n) + O(1)
-                    // and scan only live entries, flat and forward.
+                    // entries with now − t > τ, i.e. t < cutoff. Drop it in
+                    // O(log n) + O(1) and scan only live entries.
                     let pruned = list.expire_before(cutoff);
                     if pruned > 0 {
                         stats.entries_pruned += pruned as u64;
@@ -882,6 +917,28 @@ mod tests {
         // expired and truncates it.
         assert!(join.live_postings() <= 2, "live={}", join.live_postings());
         assert!(join.stats().entries_pruned >= 48);
+    }
+
+    #[test]
+    fn horizon_cutoff_is_the_exact_edge() {
+        // The least c with now − c ≤ τ, including where `now − τ` is far
+        // smaller than `now` (its ulp is tiny, so the naive cutoff can be
+        // billions of ulps off the edge) and at τ = 0 and τ = ∞.
+        let mut probes = vec![(1000.0, 999.9999999), (1e6, 1e6 - 1e-3), (5.0, 0.0)];
+        for i in 1..2000u32 {
+            let tau = 0.37 * i as f64;
+            probes.push((tau * (1.0 + 1.0 / i as f64), tau));
+            probes.push((tau + 1e-9 * i as f64, tau));
+        }
+        for (now, tau) in probes {
+            let c = horizon_cutoff(now, tau);
+            assert!(now - c <= tau, "now={now} tau={tau}: {c} is outside");
+            assert!(
+                now - c.next_down() > tau,
+                "now={now} tau={tau}: {c} is late"
+            );
+        }
+        assert_eq!(horizon_cutoff(3.0, f64::INFINITY), f64::NEG_INFINITY);
     }
 
     #[test]
