@@ -298,7 +298,6 @@ pub const ADVERTISED_SPECS: &[&str] = &[
     "sharded?theta=0.7&lambda=0.01&shards=2&inner=lsh&bits=256&bands=32&verify=exact",
     "str-l2?theta=0.7&lambda=0.01&reorder=5",
     "str-l2?theta=0.7&lambda=0.01&checked",
-    "str-l2?theta=0.7&lambda=0.01&snapshot",
     "str-l2?theta=0.7&lambda=0.01&graph",
     "decay?theta=0.7&model=window:10&graph",
     "sharded?theta=0.7&lambda=0.01&shards=2&inner=mb-l2ap&graph",

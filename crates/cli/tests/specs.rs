@@ -72,7 +72,7 @@ fn every_advertised_spec_builds_and_names_match() {
             "missing {inner} in {stdout}"
         );
     }
-    for wrapper in ["&reorder=", "&checked", "&snapshot", "&graph"] {
+    for wrapper in ["&reorder=", "&checked", "&graph"] {
         assert!(
             lines.iter().any(|l| l.contains(wrapper)),
             "missing {wrapper} in {stdout}"
@@ -116,7 +116,6 @@ fn run_reaches_every_variant_through_spec_strings() {
         "sharded?theta=0.6&shards=2&inner=decay&model=window:30",
         "sharded?theta=0.6&lambda=0.05&shards=2&inner=lsh",
         "str-l2?theta=0.6&lambda=0.05&checked&reorder=5",
-        "str-l2?theta=0.6&lambda=0.05&snapshot",
         "str-l2?theta=0.6&lambda=0.05&graph",
         "sharded?theta=0.6&lambda=0.05&shards=2&inner=mb-l2&graph",
     ] {
@@ -167,6 +166,7 @@ fn spec_conflicts_and_garbage_are_rejected() {
         vec!["--spec", "quantum-join"],
         vec!["--spec", "topk-l2?k=0"],
         vec!["--spec", "lsh?checked"],
+        vec!["--spec", "str-l2?snapshot"], // removed wrapper keyword
     ] {
         let out = bin().arg("run").arg(&data).args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must be rejected");

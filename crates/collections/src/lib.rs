@@ -9,9 +9,6 @@
 //!   (time filtering) and O(log n) horizon expiry for time-ordered
 //!   lists: the cache-dense layout candidate generation scans (chosen
 //!   over fully-columnar splits by measurement — see [`posting`]);
-//! * [`CircularBuffer`] — general ring storage that doubles when full and
-//!   halves when occupancy drops below ¼ (used by the generalized-decay
-//!   join, whose entries are model-specific);
 //! * [`LinkedHashMap`] — a hash map threaded with an insertion-order list,
 //!   backing the residual direct index `R` and the `Q` array, so that
 //!   expired vectors can be pruned from the front in amortised O(1);
@@ -29,7 +26,8 @@
 //!   window (monotonic deques), replacing `m̂λ` for non-exponential decay
 //!   models where the lazy-decay trick does not apply;
 //! * [`varint`] — LEB128/zigzag integer coding, the substrate of the
-//!   compressed snapshot format in `sssj-core`;
+//!   max-vector checkpoint aux in `sssj-core` and the checkpoint and
+//!   manifest bodies in `sssj-store`;
 //! * [`TimedBlock`] — the posting-block storage discipline generalised
 //!   over the entry payload (append + binary-search horizon expiry +
 //!   compaction/hysteresis policy), backing both [`PostingBlock`] and
@@ -40,7 +38,6 @@
 
 pub mod accumulator;
 pub mod bloom;
-pub mod circular;
 pub mod decayed_max;
 pub mod hash;
 pub mod linked_hash;
@@ -52,7 +49,6 @@ pub mod windowed_max;
 
 pub use accumulator::{Accumulated, ScoreAccumulator};
 pub use bloom::BloomFilter;
-pub use circular::CircularBuffer;
 pub use decayed_max::DecayedMaxVec;
 pub use hash::{FxBuildHasher, FxHasher};
 pub use linked_hash::LinkedHashMap;

@@ -4,9 +4,8 @@
 //! plus the owning vector's arrival time — [`PackedPosting`], 32 bytes.
 //! Entries live in one contiguous buffer with a `start` cursor: the live
 //! region is always a plain slice, so candidate generation is a flat,
-//! branch-light walk with none of the ring-buffer wraparound masking the
-//! previous `CircularBuffer<StreamEntry>` layout paid per access, and the
-//! backward time-truncation of §6.2 becomes a binary search on the
+//! branch-light walk with no ring-buffer wraparound masking per access,
+//! and the backward time-truncation of §6.2 becomes a binary search on the
 //! (non-decreasing) packed time field plus an O(1) front cut.
 //!
 //! Layout was chosen by measurement, not doctrine. Two columnar variants

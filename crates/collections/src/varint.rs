@@ -1,8 +1,8 @@
 //! LEB128 variable-length integers and zigzag encoding.
 //!
-//! The substrate for the compressed snapshot format: arrival ordinals,
-//! dimension ids and non-zero counts are small and/or slowly increasing,
-//! so delta + varint encoding shrinks them from fixed 4–8 bytes to
+//! The substrate for the checkpoint encodings: arrival ordinals,
+//! dimension ids and counts are small and/or slowly increasing, so
+//! delta + varint encoding shrinks them from fixed 4–8 bytes to
 //! typically 1–2. Unsigned values use plain LEB128 (7 payload bits per
 //! byte, high bit = continuation); signed deltas are zigzag-mapped first
 //! so small negative values stay short.

@@ -2,80 +2,7 @@
 //! reference implementation under random operation sequences.
 
 use proptest::prelude::*;
-use sssj_collections::{
-    Accumulated, CircularBuffer, DecayedMaxVec, LinkedHashMap, ScoreAccumulator,
-};
-use std::collections::VecDeque;
-
-#[derive(Clone, Debug)]
-enum BufOp {
-    Push(u64),
-    Pop,
-    TruncateFront(usize),
-}
-
-fn buf_op() -> impl Strategy<Value = BufOp> {
-    prop_oneof![
-        3 => any::<u64>().prop_map(BufOp::Push),
-        1 => Just(BufOp::Pop),
-        1 => (0usize..16).prop_map(BufOp::TruncateFront),
-    ]
-}
-
-proptest! {
-    /// CircularBuffer behaves exactly like VecDeque under random ops.
-    #[test]
-    fn circular_buffer_matches_vecdeque(ops in proptest::collection::vec(buf_op(), 0..300)) {
-        let mut sys = CircularBuffer::new();
-        let mut model = VecDeque::new();
-        for op in ops {
-            match op {
-                BufOp::Push(v) => {
-                    sys.push_back(v);
-                    model.push_back(v);
-                }
-                BufOp::Pop => {
-                    prop_assert_eq!(sys.pop_front(), model.pop_front());
-                }
-                BufOp::TruncateFront(n) => {
-                    let n = n.min(model.len());
-                    sys.truncate_front(n);
-                    model.drain(..n);
-                }
-            }
-            prop_assert_eq!(sys.len(), model.len());
-            prop_assert_eq!(sys.front(), model.front());
-            prop_assert_eq!(sys.back(), model.back());
-        }
-        let got: Vec<u64> = sys.iter().copied().collect();
-        let want: Vec<u64> = model.iter().copied().collect();
-        prop_assert_eq!(got, want);
-        let got_rev: Vec<u64> = sys.iter_rev().copied().collect();
-        let want_rev: Vec<u64> = model.iter().rev().copied().collect();
-        prop_assert_eq!(got_rev, want_rev);
-    }
-
-    /// Capacity invariant: always a power of two, occupancy ≥ 1/4 after a
-    /// shrink opportunity, and len ≤ capacity.
-    #[test]
-    fn circular_buffer_capacity_invariants(ops in proptest::collection::vec(buf_op(), 0..300)) {
-        let mut sys = CircularBuffer::new();
-        for op in ops {
-            match op {
-                BufOp::Push(v) => sys.push_back(v),
-                BufOp::Pop => { sys.pop_front(); }
-                BufOp::TruncateFront(n) => sys.truncate_front(n),
-            }
-            prop_assert!(sys.capacity().is_power_of_two());
-            prop_assert!(sys.len() <= sys.capacity());
-            // After any op the shrink rule guarantees occupancy ≥ 1/8
-            // (a single halving step per op).
-            if sys.capacity() > 8 {
-                prop_assert!(sys.len() >= sys.capacity() / 8);
-            }
-        }
-    }
-}
+use sssj_collections::{Accumulated, DecayedMaxVec, LinkedHashMap, ScoreAccumulator};
 
 #[derive(Clone, Debug)]
 enum MapOp {

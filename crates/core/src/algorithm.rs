@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use sssj_collections::varint;
 use sssj_metrics::JoinStats;
 use sssj_types::{SimilarPair, StreamRecord};
 
@@ -115,6 +116,77 @@ pub trait Checkpointable: StreamJoin {
     fn quiesce(&mut self, _out: &mut Vec<SimilarPair>) {}
 }
 
+/// Largest dimension id any decoded state (checkpoint aux, WAL frame)
+/// may carry.
+///
+/// The join keeps one posting-list slot per dimension and the running
+/// max vector is dense, so a dimension id taken from untrusted bytes
+/// translates directly into an attacker-chosen allocation: every reader
+/// must reject ids above this bound **before** any structure sized by
+/// the id is touched. 2²⁴ ≈ 16.8 M caps that allocation at ~hundreds
+/// of MB while still covering the paper's 10⁵–10⁶-dimensional corpora
+/// with an order of magnitude to spare.
+pub const MAX_SNAPSHOT_DIM: u32 = 1 << 24;
+
+/// Encodes a max-vector aux blob (the [`Checkpointable`] aux state of
+/// [`crate::Streaming`]): entry count, then per entry the dimension as
+/// a strictly-increasing delta varint and the raw `f64` value. Entries
+/// are sorted by dimension here, so callers can pass
+/// [`crate::Streaming::max_entries`] directly.
+pub fn write_max_aux(entries: &[(u32, f64)], out: &mut Vec<u8>) {
+    let mut sorted: Vec<(u32, f64)> = entries.to_vec();
+    sorted.sort_unstable_by_key(|&(d, _)| d);
+    varint::write_u64(sorted.len() as u64, out);
+    let mut prev = 0u64;
+    for (dim, v) in sorted {
+        varint::write_u64(dim as u64 - prev, out);
+        prev = dim as u64 + 1;
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Decodes an aux blob written by [`write_max_aux`] as untrusted input:
+/// dimension ids are rejected above [`MAX_SNAPSHOT_DIM`] *before*
+/// anything is sized from them, and values must be finite and in
+/// `(0, 1]`.
+pub fn read_max_aux(bytes: &[u8]) -> Result<Vec<(u32, f64)>, String> {
+    let mut pos = 0usize;
+    let u64_at = |bytes: &[u8], pos: &mut usize| -> Result<u64, String> {
+        let (v, n) = varint::read_u64(&bytes[*pos..]).map_err(|e| format!("varint: {e}"))?;
+        *pos += n;
+        Ok(v)
+    };
+    let len = u64_at(bytes, &mut pos)?;
+    if len > MAX_SNAPSHOT_DIM as u64 {
+        return Err(format!("absurd aux length {len}"));
+    }
+    let mut entries = Vec::with_capacity((len as usize).min(65_536));
+    let mut prev = 0u64;
+    for _ in 0..len {
+        let dim = prev + u64_at(bytes, &mut pos)?;
+        if dim > MAX_SNAPSHOT_DIM as u64 {
+            return Err(format!("aux dimension {dim} too large"));
+        }
+        prev = dim + 1;
+        let end = pos
+            .checked_add(8)
+            .filter(|&e| e <= bytes.len())
+            .ok_or("truncated aux value")?;
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&bytes[pos..end]);
+        pos = end;
+        let v = f64::from_le_bytes(b);
+        if !v.is_finite() || v <= 0.0 || v > 1.0 + 1e-9 {
+            return Err(format!("invalid aux value {v}"));
+        }
+        entries.push((dim as u32, v));
+    }
+    if pos != bytes.len() {
+        return Err(format!("{} trailing aux bytes", bytes.len() - pos));
+    }
+    Ok(entries)
+}
+
 /// The query/insert decomposition of a streaming join, plus the
 /// index-dimension occupancy information candidate-aware routing needs.
 ///
@@ -221,5 +293,33 @@ mod tests {
                 assert!(join.name().starts_with(&f.to_string()));
             }
         }
+    }
+
+    #[test]
+    fn max_aux_roundtrips_and_rejects_corruption() {
+        let entries = vec![(3u32, 0.25f64), (100, 1.0), (7, 0.5)];
+        let mut blob = Vec::new();
+        write_max_aux(&entries, &mut blob);
+        let back = read_max_aux(&blob).unwrap();
+        assert_eq!(back, vec![(3, 0.25), (7, 0.5), (100, 1.0)]);
+        // Empty blob round-trips.
+        let mut empty = Vec::new();
+        write_max_aux(&[], &mut empty);
+        assert!(read_max_aux(&empty).unwrap().is_empty());
+        // Truncations and bit-flips never panic; truncations always err.
+        for cut in 0..blob.len() {
+            assert!(read_max_aux(&blob[..cut]).is_err(), "cut at {cut}");
+        }
+        for pos in 0..blob.len() {
+            let mut corrupted = blob.clone();
+            corrupted[pos] ^= 0x41;
+            let _ = read_max_aux(&corrupted);
+        }
+        // A hostile dimension is rejected without allocation.
+        let mut hostile = Vec::new();
+        varint::write_u64(1, &mut hostile);
+        varint::write_u64(MAX_SNAPSHOT_DIM as u64 + 1, &mut hostile);
+        hostile.extend_from_slice(&0.5f64.to_le_bytes());
+        assert!(read_max_aux(&hostile).unwrap_err().contains("too large"));
     }
 }

@@ -29,9 +29,9 @@
 //! let join = JoinBuilder::new(0.7, 0.01).checked().reorder_slack(5.0).build();
 //! assert_eq!(join.name(), "Reorder(checked(STR-L2))");
 //!
-//! // Checkpointable STR (see sssj_core::snapshot):
-//! let spec = JoinBuilder::new(0.7, 0.01).snapshot().spec().clone();
-//! assert_eq!(spec.to_string(), "str-l2?theta=0.7&lambda=0.01&snapshot");
+//! // Stop/resume through a WAL + checkpoints (see Durability below):
+//! let spec = JoinBuilder::new(0.7, 0.01).durable("/var/sssj").spec().clone();
+//! assert_eq!(spec.to_string(), "str-l2?theta=0.7&lambda=0.01&durable=/var/sssj");
 //!
 //! // Candidate-aware sharded execution around any shardable inner
 //! // engine (built by sssj-parallel once registered; `inner=str-l2` is
@@ -389,15 +389,6 @@ impl JoinBuilder {
         self
     }
 
-    /// Makes the join checkpointable ([`crate::RecoverableJoin`]; STR
-    /// engine only). Idempotent.
-    pub fn snapshot(mut self) -> Self {
-        if !self.spec.wrappers.contains(&WrapperSpec::Snapshot) {
-            self.spec.wrappers.insert(0, WrapperSpec::Snapshot);
-        }
-        self
-    }
-
     /// Makes the join durable: WAL + checkpoints under `dir`
     /// (`sssj-store`; resumes when the directory already holds a
     /// manifest — see the module docs' Durability section). Replaces any
@@ -423,7 +414,7 @@ impl JoinBuilder {
         }
         let at = usize::from(matches!(
             self.spec.wrappers.first(),
-            Some(WrapperSpec::Durable(_) | WrapperSpec::Snapshot)
+            Some(WrapperSpec::Durable(_))
         ));
         self.spec.wrappers.insert(at, WrapperSpec::Graph);
         self
@@ -705,17 +696,12 @@ mod tests {
             .reorder_slack(5.0)
             .reorder_slack(2.0);
         assert_eq!(b.spec().wrappers, vec![WrapperSpec::Reorder(2.0)]);
-        // checked/snapshot never stack.
-        let b = JoinBuilder::new(0.5, 0.1)
-            .snapshot()
-            .checked()
-            .snapshot()
-            .checked();
-        assert_eq!(
-            b.spec().wrappers,
-            vec![WrapperSpec::Snapshot, WrapperSpec::Checked]
-        );
-        b.build();
+        // checked never stacks; a later durable directory replaces the
+        // earlier one.
+        let b = JoinBuilder::new(0.5, 0.1).checked().checked();
+        assert_eq!(b.spec().wrappers, vec![WrapperSpec::Checked]);
+        let b = JoinBuilder::new(0.5, 0.1).durable("/a").durable("/b");
+        assert_eq!(b.spec().wrappers, vec![WrapperSpec::Durable("/b".into())]);
     }
 
     #[test]

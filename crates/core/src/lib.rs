@@ -25,12 +25,13 @@
 //! # One config surface: [`spec::JoinSpec`]
 //!
 //! The whole variant family — STR/MB × index, generalised decay, top-k,
-//! LSH, sharding, plus the reorder/checked/snapshot wrappers — is
-//! described by one declarative, serializable [`spec::JoinSpec`] and
-//! built by its single factory [`spec::JoinSpec::build`]. The compact
-//! text form (e.g. `str-l2?theta=0.7&lambda=0.01&reorder=5`) is what the
-//! CLI and the net protocol speak; [`JoinBuilder`] is the fluent
-//! front-end over the same spec.
+//! LSH, sharding, plus the reorder/checked/durable/graph/history
+//! wrappers — is described by one declarative, serializable
+//! [`spec::JoinSpec`] and built by its single factory
+//! [`spec::JoinSpec::build`]. The compact text form (e.g.
+//! `str-l2?theta=0.7&lambda=0.01&reorder=5`) is what the CLI and the net
+//! protocol speak; [`JoinBuilder`] is the fluent front-end over the same
+//! spec.
 //!
 //! ```
 //! use sssj_core::spec::JoinSpec;
@@ -58,7 +59,6 @@ pub mod latency;
 pub mod minibatch;
 pub mod reorder;
 pub mod sink;
-pub mod snapshot;
 pub mod spec;
 pub mod streaming;
 pub mod telemetry;
@@ -66,7 +66,10 @@ pub mod topk;
 pub mod verify;
 
 pub use advisor::{advise, advise_from_examples, Advice, AdvisorError};
-pub use algorithm::{run_stream, Checkpointable, Framework, ShardableJoin, StreamJoin};
+pub use algorithm::{
+    read_max_aux, run_stream, write_max_aux, Checkpointable, Framework, ShardableJoin, StreamJoin,
+    MAX_SNAPSHOT_DIM,
+};
 pub use api::{JoinBuilder, PairIter};
 pub use config::SssjConfig;
 pub use decay_join::DecayStreaming;
@@ -74,9 +77,6 @@ pub use latency::{measure_report_delay, DelayStats};
 pub use minibatch::MiniBatch;
 pub use reorder::{LateRecord, ReorderBuffer};
 pub use sink::{PairSink, SinkedJoin};
-pub use snapshot::{
-    read_max_aux, read_snapshot, write_max_aux, RecoverableJoin, SnapshotError, MAX_SNAPSHOT_DIM,
-};
 pub use spec::{DecaySpec, EngineSpec, JoinSpec, LshSpec, ShardedInner, SpecError, WrapperSpec};
 pub use streaming::Streaming;
 pub use telemetry::TelemetryJoin;

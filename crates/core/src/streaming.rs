@@ -764,7 +764,7 @@ impl Streaming {
         self.insert(record);
     }
 
-    /// Pre-seeds the AP running-max vector `m` (snapshot restore).
+    /// Pre-seeds the AP running-max vector `m` (checkpoint restore).
     ///
     /// `m` accumulates over the *whole* stream, not just the horizon; a
     /// restored join that rebuilt `m` from buffered records alone would
@@ -777,8 +777,8 @@ impl Streaming {
         }
     }
 
-    /// The AP running-max vector `m` as (dim, value) pairs (snapshot
-    /// write). Empty for non-AP indexes.
+    /// The AP running-max vector `m` as (dim, value) pairs (checkpoint
+    /// aux). Empty for non-AP indexes.
     pub fn max_entries(&self) -> Vec<(u32, f64)> {
         self.m
             .as_slice()
@@ -807,11 +807,11 @@ impl ShardableJoin for Streaming {
     }
 
     fn checkpoint_aux(&self, out: &mut Vec<u8>) {
-        crate::snapshot::write_max_aux(&self.max_entries(), out);
+        crate::algorithm::write_max_aux(&self.max_entries(), out);
     }
 
     fn seed_checkpoint_aux(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.seed_max(crate::snapshot::read_max_aux(bytes)?);
+        self.seed_max(crate::algorithm::read_max_aux(bytes)?);
         Ok(())
     }
 }

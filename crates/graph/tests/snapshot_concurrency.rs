@@ -178,31 +178,31 @@ fn snapshot_and_oracle_handles_agree_on_the_same_stream() {
     // must answer identically at any query time — including times that
     // advance the clock past the last delivery.
     const HORIZON: f64 = 10.0;
-    let snapshotting = GraphHandle::with_options(HORIZON, false);
+    let published = GraphHandle::with_options(HORIZON, false);
     let oracle = GraphHandle::new_oracle(HORIZON);
     for &(l, r, sim, t) in &edge_stream(3_000) {
-        snapshotting.add_edge(l, r, sim, t);
+        published.add_edge(l, r, sim, t);
         oracle.add_edge(l, r, sim, t);
     }
     let last_t = 3_000.0 * 0.05;
     for now in [last_t * 0.5, last_t, last_t + HORIZON * 0.5] {
         for node in 0..192u64 {
             assert_eq!(
-                pairs_of(&snapshotting.neighbors(node, now)),
+                pairs_of(&published.neighbors(node, now)),
                 pairs_of(&oracle.neighbors(node, now)),
                 "neighbors({node}) at {now}"
             );
             assert_eq!(
-                pairs_of(&snapshotting.topk(node, 4, now)),
+                pairs_of(&published.topk(node, 4, now)),
                 pairs_of(&oracle.topk(node, 4, now)),
                 "topk({node}) at {now}"
             );
             assert_eq!(
-                snapshotting.component(node, now),
+                published.component(node, now),
                 oracle.component(node, now),
                 "component({node}) at {now}"
             );
         }
-        assert_eq!(snapshotting.stats(now), oracle.stats(now), "stats at {now}");
+        assert_eq!(published.stats(now), oracle.stats(now), "stats at {now}");
     }
 }

@@ -110,6 +110,18 @@ pub fn force_lane(lane: Option<Lane>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that force the process-global lane: the test
+    /// harness runs them on parallel threads, and one forcing a lane
+    /// while another reads `auto` makes the reader see the forced lane.
+    static LANE: Mutex<()> = Mutex::new(());
+
+    fn lane_lock() -> MutexGuard<'static, ()> {
+        // A failed sibling poisons the lock; it guards no data, so the
+        // guard is recovered rather than failing this test too.
+        LANE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn lanes_are_ordered() {
@@ -119,6 +131,7 @@ mod tests {
 
     #[test]
     fn force_overrides_and_restores() {
+        let _lane = lane_lock();
         let auto = active_lane();
         force_lane(Some(Lane::Scalar));
         assert_eq!(active_lane(), Lane::Scalar);
@@ -128,6 +141,7 @@ mod tests {
 
     #[test]
     fn forced_lane_is_clamped_to_hardware() {
+        let _lane = lane_lock();
         force_lane(Some(Lane::Avx2));
         assert!(active_lane() <= super::hardware_max());
         force_lane(None);

@@ -93,20 +93,11 @@
 //!
 //! A session runs one join pipeline, described by a
 //! [`sssj_core::JoinSpec`]. `CONFIG` accepts the spec's compact text
-//! form under the `spec=` key — the full grammar is documented in
-//! [`sssj_core::spec`]:
-//!
-//! ```text
-//! spec    := engine [ "-" index ] [ "?" param ( "&" param )* ]
-//! engine  := "str" | "mb" | "decay" | "topk" | "lsh" | "sharded"
-//! index   := "l2" | "l2ap" | "ap" | "inv"
-//! param   := theta= | lambda= | tau= | model= | bounds= | k= | shards=
-//!          | inner= | bits= | bands= | seed= | verify= | reorder=
-//!          | checked | snapshot
-//! ```
-//!
-//! so *every* join variant the workspace implements — not just the
-//! classic framework × index grid — is reachable over the wire, e.g.
+//! form under the `spec=` key. The grammar (engines, indexes, engine
+//! keys and the `reorder=`/`checked`/`durable=`/`graph`/`history=`
+//! wrappers) is documented once, in [`sssj_core::spec`]. So *every*
+//! join variant the workspace implements, not just the classic
+//! framework × index grid, is reachable over the wire, e.g.
 //! `CONFIG spec=topk-l2?theta=0.5&lambda=0.01&k=3`,
 //! `CONFIG spec=lsh?theta=0.7&lambda=0.01&verify=est` or a sharded
 //! pipeline with its inner engine spelled out,

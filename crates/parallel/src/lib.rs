@@ -47,7 +47,7 @@
 //! *before* candidate generation, so the prefix-filter invariant holds
 //! for exactly the pairs that query can complete; a smaller `m` only
 //! indexes less eagerly, never drops a reachable pair (the same argument
-//! that makes snapshot-restored joins correct, see
+//! that makes recovered durable joins correct, see
 //! [`sssj_core::Streaming::seed_max`]).
 //!
 //! Three entry points:

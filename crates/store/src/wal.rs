@@ -15,8 +15,8 @@
 //!   ws     f64 × nnz    raw weights
 //! ```
 //!
-//! The payload is deliberately **fixed-width** (unlike the snapshot
-//! format's delta+varint coding): the append sits on the per-record hot
+//! The payload is deliberately **fixed-width** (unlike the checkpoint
+//! body's delta+varint coding): the append sits on the per-record hot
 //! path, on a 15 % overhead budget (`store.us_per_record`), and
 //! fixed-width fields encode as bulk copies — no per-byte varint loops
 //! — while the horizon GC keeps total disk usage bounded by the live
@@ -30,7 +30,7 @@
 //! `read(2)`, not two calls per frame) and the walker steps through
 //! the bytes. It accepts a frame only if the header is complete, `len`
 //! is sane and inside the bytes, the CRC matches and the payload passes
-//! the same untrusted-input validation as the snapshot reader
+//! the same untrusted-input validation as the checkpoint aux reader
 //! (dimensions strictly increasing and ≤ [`MAX_SNAPSHOT_DIM`], weights
 //! finite in `(0, 1]`, timestamps finite and non-decreasing across the
 //! log) — all without allocating; a [`Frame`] materialises its record
@@ -236,13 +236,6 @@ fn open_segment(wal_dir: &Path, first_seq: u64) -> io::Result<(File, Segment)> {
             path,
         },
     ))
-}
-
-/// Exposes [`encode_frame`] for the `enc_profile` example (not part of
-/// the public API surface).
-#[doc(hidden)]
-pub fn encode_frame_for_profile(record: &StreamRecord, buf: &mut Vec<u8>) {
-    encode_frame(record, buf);
 }
 
 /// Appends the raw little-endian bytes of a numeric slice to `buf` in

@@ -1,11 +1,29 @@
-//! Stop/resume correctness: a join snapshotted mid-stream and restored
+//! Stop/resume correctness through the durable store: a join
+//! checkpointed mid-stream, dropped and reopened from the same directory
 //! must report exactly what the uninterrupted run reports from that point
-//! on — for every index variant and across nested snapshots.
+//! on — for every index variant and across repeated stop/resume cycles.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use sssj_core::{read_snapshot, run_stream, RecoverableJoin, SssjConfig, StreamJoin, Streaming};
+use sssj_core::{run_stream, Framework, JoinSpec, SssjConfig, StreamJoin, Streaming};
 use sssj_index::IndexKind;
+use sssj_store::{DurableJoin, DurableOptions};
 use sssj_types::{SimilarPair, SparseVectorBuilder, StreamRecord, Timestamp};
+
+static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "sssj-resume-{tag}-{}-{}",
+        std::process::id(),
+        DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
 
 fn sorted_keys(pairs: &[SimilarPair]) -> Vec<(u64, u64)> {
     let mut keys: Vec<_> = pairs.iter().map(|p| p.key()).collect();
@@ -49,26 +67,44 @@ fn reference_tail(
     sorted_keys(&tail)
 }
 
+/// Opens the durable STR join rooted at `dir`, resuming it when the
+/// directory already holds state.
+fn open(config: SssjConfig, kind: IndexKind, dir: &Path) -> DurableJoin {
+    let spec = JoinSpec::classic(Framework::Streaming, kind, config);
+    DurableJoin::open(&spec, dir, DurableOptions::default()).unwrap()
+}
+
+/// Feeds `records`, then checkpoints and drops the join (the "stop").
+fn run_and_stop(mut join: DurableJoin, records: &[StreamRecord]) {
+    let mut out = Vec::new();
+    for r in records {
+        join.process(r, &mut out);
+    }
+    join.checkpoint(&mut out).unwrap();
+}
+
 #[test]
 fn restored_join_continues_identically_for_all_kinds() {
     let stream = random_stream(21, 240, 15);
     let config = SssjConfig::new(0.6, 0.1);
     let cut = 120;
     for kind in IndexKind::ALL {
-        let mut join = RecoverableJoin::new(config, kind);
-        let mut pre = Vec::new();
-        for r in &stream[..cut] {
-            join.process(r, &mut pre);
-        }
-        let mut bytes = Vec::new();
-        join.write_snapshot(&mut bytes).unwrap();
-        let mut restored = read_snapshot(&bytes[..]).unwrap();
+        let dir = tmp_dir("kinds");
+        run_and_stop(open(config, kind, &dir), &stream[..cut]);
+        let mut restored = open(config, kind, &dir);
+        assert_eq!(
+            restored.resume_point().map(|(n, _)| n),
+            Some(cut as u64),
+            "{kind}"
+        );
         let tail = run_stream(&mut restored, &stream[cut..]);
         assert_eq!(
             sorted_keys(&tail),
             reference_tail(&stream, config, kind, cut),
             "{kind}"
         );
+        drop(restored);
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -78,44 +114,38 @@ fn snapshot_of_a_restored_join_still_works() {
     let config = SssjConfig::new(0.55, 0.15);
     let kind = IndexKind::L2;
     let (c1, c2) = (100, 200);
+    let dir = tmp_dir("twice");
 
-    let mut join = RecoverableJoin::new(config, kind);
-    let mut sink = Vec::new();
-    for r in &stream[..c1] {
-        join.process(r, &mut sink);
-    }
-    let mut b1 = Vec::new();
-    join.write_snapshot(&mut b1).unwrap();
+    run_and_stop(open(config, kind, &dir), &stream[..c1]);
+    run_and_stop(open(config, kind, &dir), &stream[c1..c2]);
 
-    let mut second = read_snapshot(&b1[..]).unwrap();
-    for r in &stream[c1..c2] {
-        second.process(r, &mut sink);
-    }
-    let mut b2 = Vec::new();
-    second.write_snapshot(&mut b2).unwrap();
-
-    let mut third = read_snapshot(&b2[..]).unwrap();
+    let mut third = open(config, kind, &dir);
     let tail = run_stream(&mut third, &stream[c2..]);
     assert_eq!(
         sorted_keys(&tail),
         reference_tail(&stream, config, kind, c2)
     );
+    drop(third);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn pre_snapshot_output_matches_uninterrupted_prefix() {
     let stream = random_stream(44, 200, 10);
     let config = SssjConfig::new(0.6, 0.1);
-    let mut recoverable = RecoverableJoin::new(config, IndexKind::L2);
+    let dir = tmp_dir("prefix");
+    let mut durable = open(config, IndexKind::L2, &dir);
     let mut plain = Streaming::new(config, IndexKind::L2);
     let mut a = Vec::new();
     let mut b = Vec::new();
     for r in &stream {
-        recoverable.process(r, &mut a);
+        durable.process(r, &mut a);
         plain.process(r, &mut b);
     }
     assert_eq!(sorted_keys(&a), sorted_keys(&b));
-    assert_eq!(recoverable.stats().pairs_output, plain.stats().pairs_output);
+    assert_eq!(durable.stats().pairs_output, plain.stats().pairs_output);
+    drop(durable);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -132,54 +162,50 @@ proptest! {
         let cut = ((stream.len() as f64) * cut_frac) as usize;
         let config = SssjConfig::new(theta, lambda);
         let kind = IndexKind::L2;
+        let dir = tmp_dir("cut");
 
-        let mut join = RecoverableJoin::new(config, kind);
-        let mut sink = Vec::new();
-        for r in &stream[..cut] {
-            join.process(r, &mut sink);
-        }
-        let mut bytes = Vec::new();
-        join.write_snapshot(&mut bytes).unwrap();
-        let mut restored = read_snapshot(&bytes[..]).unwrap();
+        run_and_stop(open(config, kind, &dir), &stream[..cut]);
+        let mut restored = open(config, kind, &dir);
         let tail = run_stream(&mut restored, &stream[cut..]);
-        let want = reference_tail(&stream, config, kind, cut);
-        prop_assert_eq!(sorted_keys(&tail), want.clone());
-
-        // The compressed format restores to the same future output, and
-        // is never larger than the raw one on these streams.
-        let mut compressed = Vec::new();
-        join.write_snapshot_compressed(&mut compressed).unwrap();
-        prop_assert!(compressed.len() <= bytes.len());
-        let mut restored_c = read_snapshot(&compressed[..]).unwrap();
-        let tail_c = run_stream(&mut restored_c, &stream[cut..]);
-        prop_assert_eq!(sorted_keys(&tail_c), want);
+        drop(restored);
+        let _ = fs::remove_dir_all(&dir);
+        prop_assert_eq!(sorted_keys(&tail), reference_tail(&stream, config, kind, cut));
     }
+}
+
+/// The live checkpoint file of a stopped store.
+fn live_checkpoint(dir: &Path) -> PathBuf {
+    fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .find(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".ckpt"))
+        })
+        .expect("a stopped store holds one checkpoint")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary byte corruption must yield a clean error or a valid
-    /// join — never a panic, never a malformed structure.
+    /// Arbitrary corruption of the checkpoint must yield a clean error or
+    /// a valid join on reopen — never a panic, never a malformed
+    /// structure.
     #[test]
     fn corrupted_snapshots_never_panic(
         seed in 0u64..100,
         flips in proptest::collection::vec((0usize..4096, 0u8..=255), 1..8),
         cut in proptest::option::of(0usize..4096),
-        compressed in proptest::bool::ANY,
     ) {
         let stream = random_stream(seed, 40, 8);
-        let mut join = RecoverableJoin::new(SssjConfig::new(0.6, 0.1), IndexKind::L2);
-        let mut sink = Vec::new();
-        for r in &stream {
-            join.process(r, &mut sink);
-        }
-        let mut bytes = Vec::new();
-        if compressed {
-            join.write_snapshot_compressed(&mut bytes).unwrap();
-        } else {
-            join.write_snapshot(&mut bytes).unwrap();
-        }
+        let config = SssjConfig::new(0.6, 0.1);
+        let dir = tmp_dir("corrupt");
+        run_and_stop(open(config, IndexKind::L2, &dir), &stream);
+
+        let path = live_checkpoint(&dir);
+        let mut bytes = fs::read(&path).unwrap();
         for &(pos, val) in &flips {
             let len = bytes.len().max(1);
             if let Some(b) = bytes.get_mut(pos % len) {
@@ -189,8 +215,11 @@ proptest! {
         if let Some(c) = cut {
             bytes.truncate(c % (bytes.len() + 1));
         }
+        fs::write(&path, &bytes).unwrap();
+
         // Either outcome is fine; panicking or looping is not.
-        if let Ok(mut restored) = read_snapshot(&bytes[..]) {
+        let spec = JoinSpec::classic(Framework::Streaming, IndexKind::L2, config);
+        if let Ok(mut restored) = DurableJoin::open(&spec, &dir, DurableOptions::default()) {
             // A structurally-valid mutation must still yield a join
             // that processes records without panicking.
             let mut out = Vec::new();
@@ -204,5 +233,6 @@ proptest! {
                 &mut out,
             );
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

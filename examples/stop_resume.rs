@@ -1,5 +1,5 @@
-//! Stop/resume: checkpoint a live join to bytes, restore it, and keep
-//! joining with identical output.
+//! Stop/resume: checkpoint a live durable join, stop it, reopen its
+//! directory, and keep joining with identical output.
 //!
 //! ```sh
 //! cargo run --release --example stop_resume
@@ -26,26 +26,33 @@ fn main() {
         reference.process(r, &mut expected_tail);
     }
 
-    // Checkpointed run: process half, snapshot, "crash", restore, resume.
-    let mut join = RecoverableJoin::new(join_config, IndexKind::L2);
+    // Durable run: process half, checkpoint, "crash", reopen, resume.
+    let dir = std::env::temp_dir().join(format!("sssj-stop-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = JoinSpec::classic(Framework::Streaming, IndexKind::L2, join_config);
+    let mut join = DurableJoin::open(&spec, &dir, DurableOptions::default()).expect("open store");
     let mut sink = Vec::new();
     for r in &stream[..cut] {
         join.process(r, &mut sink);
     }
-    let mut snapshot = Vec::new();
-    join.write_snapshot(&mut snapshot).expect("in-memory write");
+    join.checkpoint(&mut sink).expect("checkpoint");
     println!(
-        "snapshot after {cut} records: {} bytes, {} in-horizon records retained",
-        snapshot.len(),
-        join.buffered_records()
+        "checkpoint after {cut} records: {} WAL segment(s) under {}",
+        join.wal_segments(),
+        dir.display()
     );
     drop(join); // the "crash"
 
-    let mut restored = read_snapshot(&snapshot[..]).expect("snapshot is well-formed");
+    let mut restored =
+        DurableJoin::open(&spec, &dir, DurableOptions::default()).expect("reopen store");
+    let (ingested, _) = restored.resume_point().expect("a reopened store resumes");
+    assert_eq!(ingested as usize, cut);
     let mut tail = Vec::new();
     for r in &stream[cut..] {
         restored.process(r, &mut tail);
     }
+    drop(restored);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let keys = |pairs: &[SimilarPair]| {
         let mut k: Vec<_> = pairs.iter().map(|p| p.key()).collect();
@@ -55,7 +62,7 @@ fn main() {
     assert_eq!(
         keys(&tail),
         keys(&expected_tail),
-        "restored join must continue identically"
+        "resumed join must continue identically"
     );
     println!(
         "resumed join reported {} pairs over the second half — identical \

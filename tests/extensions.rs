@@ -33,7 +33,14 @@ fn sorted_keys(pairs: &[SimilarPair]) -> Vec<(u64, u64)> {
     keys
 }
 
-/// The five exact joins — STR, MB, sharded, recoverable, generic-decay —
+/// A fresh directory for one durable store.
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sssj-ext-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The five exact joins — STR, MB, sharded, durable, generic-decay —
 /// must produce identical output on the same stream.
 #[test]
 fn all_exact_joins_agree() {
@@ -56,11 +63,15 @@ fn all_exact_joins_agree() {
         sharded.name(),
         sorted_keys(&run_stream(&mut sharded, &stream)),
     ));
-    let mut recoverable = RecoverableJoin::new(config, IndexKind::L2);
+    let dir = tmp_dir("agree");
+    let spec = JoinSpec::classic(Framework::Streaming, IndexKind::L2, config);
+    let mut durable = DurableJoin::open(&spec, &dir, DurableOptions::default()).unwrap();
     variants.push((
-        recoverable.name(),
-        sorted_keys(&run_stream(&mut recoverable, &stream)),
+        durable.name(),
+        sorted_keys(&run_stream(&mut durable, &stream)),
     ));
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
     let mut generic = DecayStreaming::new(theta, DecayModel::exponential(lambda));
     variants.push((
         generic.name(),
@@ -209,23 +220,28 @@ fn jaccard_and_cosine_agree_on_exact_duplicates() {
     assert_eq!(jkeys, ckeys);
 }
 
-/// Snapshots interoperate with the sharded runner: restore, then compare
-/// a tail run against sharded execution of the full stream.
+/// Stop/resume interoperates with the sharded runner: checkpoint, stop,
+/// reopen, then compare head ∪ tail against sharded execution of the
+/// full stream.
 #[test]
 fn snapshot_then_shard_consistency() {
     let stream = random_stream(75, 200);
     let config = SssjConfig::new(0.6, 0.1);
     let cut = 100;
+    let dir = tmp_dir("resume");
+    let spec = JoinSpec::classic(Framework::Streaming, IndexKind::L2, config);
 
-    let mut join = RecoverableJoin::new(config, IndexKind::L2);
+    let mut join = DurableJoin::open(&spec, &dir, DurableOptions::default()).unwrap();
     let mut head = Vec::new();
     for r in &stream[..cut] {
         join.process(r, &mut head);
     }
-    let mut bytes = Vec::new();
-    join.write_snapshot(&mut bytes).unwrap();
-    let mut restored = read_snapshot(&bytes[..]).unwrap();
+    join.checkpoint(&mut head).unwrap();
+    drop(join);
+    let mut restored = DurableJoin::open(&spec, &dir, DurableOptions::default()).unwrap();
     let tail = run_stream(&mut restored, &stream[cut..]);
+    drop(restored);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let full = sharded_run(&stream, config, IndexKind::L2, 2);
     let mut expected = sorted_keys(&full.pairs);

@@ -1,10 +1,9 @@
 //! Cross-crate integration of the third-pass extensions, exercised
 //! through the `sssj` facade the way a downstream user would: advisor →
 //! config → network service fed by an incremental reader with jittered
-//! delivery → snapshot of an equivalent local join.
+//! delivery → stop and resume of an equivalent durable local join.
 
 use sssj::core::advisor;
-use sssj::core::{read_snapshot, RecoverableJoin};
 use sssj::data::{generate, preset, BinaryStreamReader, Preset, TextStreamReader};
 use sssj::net::{ConfigRequest, JoinClient, Server, ServerOptions};
 use sssj::prelude::*;
@@ -73,20 +72,23 @@ fn advisor_to_service_to_snapshot_pipeline() {
         .collect();
     assert_eq!(keys(&remapped), want);
 
-    // 5. A recoverable local join over the same stream snapshots
-    //    (compressed) and restores to an equivalent live join.
-    let mut recoverable = RecoverableJoin::new(config, IndexKind::L2);
+    // 5. A durable local join over the same stream checkpoints, stops,
+    //    and reopens exactly where it stopped.
+    let dir = std::env::temp_dir().join(format!("sssj-third-pass-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = JoinSpec::classic(Framework::Streaming, IndexKind::L2, config);
+    let mut durable = DurableJoin::open(&spec, &dir, DurableOptions::default()).unwrap();
     let mut sink = Vec::new();
     for r in &records {
-        recoverable.process(r, &mut sink);
+        durable.process(r, &mut sink);
     }
-    let mut snapshot = Vec::new();
-    recoverable
-        .write_snapshot_compressed(&mut snapshot)
-        .unwrap();
-    let restored = read_snapshot(&snapshot[..]).unwrap();
-    assert_eq!(restored.config(), config);
-    assert_eq!(restored.buffered_records(), recoverable.buffered_records());
+    durable.checkpoint(&mut sink).unwrap();
+    drop(durable);
+    let reopened = DurableJoin::open(&spec, &dir, DurableOptions::default()).unwrap();
+    let last_t = records.last().unwrap().t.seconds();
+    assert_eq!(reopened.resume_point(), Some((400, last_t)));
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
