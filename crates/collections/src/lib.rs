@@ -25,7 +25,7 @@
 //! * [`WindowedMaxVec`] — exact per-dimension maxima over a sliding time
 //!   window (monotonic deques), replacing `m̂λ` for non-exponential decay
 //!   models where the lazy-decay trick does not apply;
-//! * [`varint`] — LEB128/zigzag integer coding, the substrate of the
+//! * [`varint`] — LEB128 integer coding, the substrate of the
 //!   max-vector checkpoint aux in `sssj-core` and the checkpoint and
 //!   manifest bodies in `sssj-store`;
 //! * [`TimedBlock`] — the posting-block storage discipline generalised

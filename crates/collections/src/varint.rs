@@ -3,9 +3,9 @@
 //! The substrate for the checkpoint encodings: arrival ordinals,
 //! dimension ids and counts are small and/or slowly increasing, so
 //! delta + varint encoding shrinks them from fixed 4–8 bytes to
-//! typically 1–2. Unsigned values use plain LEB128 (7 payload bits per
-//! byte, high bit = continuation); signed deltas are zigzag-mapped first
-//! so small negative values stay short.
+//! typically 1–2. Values use plain LEB128 (7 payload bits per byte, high
+//! bit = continuation); the zigzag map turns a signed delta into a short
+//! unsigned one first.
 //!
 //! Decoding is hardened for untrusted input: continuation chains longer
 //! than 10 bytes and non-canonical final bytes that overflow 64 bits are
@@ -30,12 +30,7 @@ pub fn write_u64(value: u64, out: &mut Vec<u8>) -> usize {
     }
 }
 
-/// Appends `value` zigzag-encoded (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`).
-pub fn write_i64(value: i64, out: &mut Vec<u8>) -> usize {
-    write_u64(zigzag(value), out)
-}
-
-/// The zigzag map: small magnitudes (of either sign) become small
+/// The zigzag map (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`): small magnitudes (of either sign) become small
 /// unsigned values.
 #[inline]
 pub fn zigzag(v: i64) -> u64 {
@@ -89,12 +84,6 @@ pub fn read_u64(input: &[u8]) -> Result<(u64, usize), VarintError> {
     } else {
         Err(VarintError::Overflow)
     }
-}
-
-/// Reads a zigzag-encoded `i64` from the front of `input`.
-pub fn read_i64(input: &[u8]) -> Result<(i64, usize), VarintError> {
-    let (v, n) = read_u64(input)?;
-    Ok((unzigzag(v), n))
 }
 
 #[cfg(test)]
@@ -171,14 +160,6 @@ mod tests {
             let (decoded, consumed) = read_u64(&out).unwrap();
             prop_assert_eq!(decoded, v);
             prop_assert_eq!(consumed, n);
-        }
-
-        #[test]
-        fn i64_roundtrips(v in proptest::num::i64::ANY) {
-            let mut out = Vec::new();
-            write_i64(v, &mut out);
-            let (decoded, _) = read_i64(&out).unwrap();
-            prop_assert_eq!(decoded, v);
         }
 
         #[test]

@@ -106,8 +106,9 @@
 //! ```
 //!
 //! Construction goes through the one spec factory once
-//! `sssj_graph::register_spec_builder()` has run (every workspace
-//! binary registers at startup); `sssj_graph::build_with_handle` is the
+//! `sssj_graph::register_spec_builder()` has registered the graph taps
+//! ([`crate::spec::register`]; every workspace binary registers at
+//! startup); `sssj_graph::build_with_handle` is the
 //! same path but also hands back the query handle, which is what the
 //! net session serves `QUERY neighbors|topk|component|stats` and
 //! `SUBSCRIBE <node>` from (grammar in `sssj_net::protocol`) and what
@@ -173,7 +174,8 @@
 //! ```
 //!
 //! Building a history-wrapped spec goes through the one factory once
-//! `sssj_segments::register_spec_builder()` has run;
+//! `sssj_segments::register_spec_builder()` has registered the history
+//! constructor ([`crate::spec::register`]);
 //! `sssj_segments::build_with_handles` additionally hands back the
 //! graph and history handles the queries are served from. A runnable
 //! serve → expire → time-travel doctest lives at the `sssj` facade

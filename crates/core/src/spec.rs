@@ -86,18 +86,26 @@
 //! assert_eq!(join.name(), "STR-L2");
 //! ```
 //!
-//! The LSH and sharded engines live in crates *downstream* of `sssj-core`
-//! (`sssj-lsh`, `sssj-parallel`), so their constructors are injected via
-//! [`register_lsh_builder`] / [`register_sharded_builder`] — the same
-//! bolt-on pattern ProvSQL uses for its single entry point. Every binary
-//! that links those crates registers them once at startup (the CLI, the
-//! net server and the bench harness all do); building such a spec without
-//! the registration yields [`SpecError::EngineUnavailable`], never a
-//! silent fallback.
+//! One engine table says, per engine, whether it takes an index, which
+//! wrappers it admits (`checked`, `durable=`, `inner=`) and who builds
+//! it; validation, parsing and the three construction entry points
+//! ([`JoinSpec::build`], [`JoinSpec::build_checkpointable`],
+//! [`JoinSpec::build_shard_worker`]) all read it, and one match builds
+//! the base engine for all three.
+//!
+//! The LSH and sharded engines and the durable, graph and history
+//! wrappers live in crates *downstream* of `sssj-core` (`sssj-lsh`,
+//! `sssj-parallel`, `sssj-store`, `sssj-graph`, `sssj-segments`), so
+//! their constructors are injected through one entry point, [`register`],
+//! which each crate's `register_spec_builder()` calls once — the bolt-on,
+//! single-entry-point pattern of ProvSQL. Every binary that links those
+//! crates registers them at startup (the CLI, the net server and the
+//! bench harness all do); building such a spec without the registration
+//! yields [`SpecError::EngineUnavailable`], never a silent fallback.
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
+use std::sync::{PoisonError, RwLock};
 
 use sssj_index::IndexKind;
 use sssj_types::{Decay, DecayModel};
@@ -193,18 +201,23 @@ pub enum ShardedInner {
 impl ShardedInner {
     /// The grammar name used in the `inner=` key.
     pub fn keyword(&self) -> &'static str {
-        match self {
-            ShardedInner::Streaming => "str",
-            ShardedInner::MiniBatch => "mb",
-            ShardedInner::GenericDecay(_) => "decay",
-            ShardedInner::Lsh(_) => "lsh",
-        }
+        self.engine().keyword()
     }
 
     /// Whether the inner engine is parameterised by an [`IndexKind`]
     /// (spelled on the inner token, e.g. `inner=mb-l2ap`).
     pub fn takes_index(&self) -> bool {
-        matches!(self, ShardedInner::Streaming | ShardedInner::MiniBatch)
+        self.engine().takes_index()
+    }
+
+    /// The base engine each shard runs.
+    fn engine(&self) -> EngineSpec {
+        match *self {
+            ShardedInner::Streaming => EngineSpec::Streaming,
+            ShardedInner::MiniBatch => EngineSpec::MiniBatch,
+            ShardedInner::GenericDecay(d) => EngineSpec::GenericDecay(d),
+            ShardedInner::Lsh(p) => EngineSpec::Lsh(p),
+        }
     }
 }
 
@@ -232,26 +245,28 @@ pub enum EngineSpec {
 }
 
 impl EngineSpec {
+    /// The engine's row of the engine table.
+    fn row(&self) -> &'static EngineRow {
+        &ENGINES[match self {
+            EngineSpec::Streaming => 0,
+            EngineSpec::MiniBatch => 1,
+            EngineSpec::GenericDecay(_) => 2,
+            EngineSpec::TopK(_) => 3,
+            EngineSpec::Lsh(_) => 4,
+            EngineSpec::Sharded { .. } => 5,
+        }]
+    }
+
     /// The grammar name of the engine.
     pub fn keyword(&self) -> &'static str {
-        match self {
-            EngineSpec::Streaming => "str",
-            EngineSpec::MiniBatch => "mb",
-            EngineSpec::GenericDecay(_) => "decay",
-            EngineSpec::TopK(_) => "topk",
-            EngineSpec::Lsh(_) => "lsh",
-            EngineSpec::Sharded { .. } => "sharded",
-        }
+        self.row().keyword
     }
 
     /// Whether the compact form spells an [`IndexKind`] on the *head*
     /// token (`str-l2`). Sharded specs carry the index on the inner token
     /// instead (`inner=mb-l2ap`).
     pub fn takes_index(&self) -> bool {
-        matches!(
-            self,
-            EngineSpec::Streaming | EngineSpec::MiniBatch | EngineSpec::TopK(_)
-        )
+        self.row().takes_index
     }
 
     /// Whether the spec's `index` field is meaningful for this engine at
@@ -358,111 +373,201 @@ fn parse_err(msg: impl Into<String>) -> SpecError {
     SpecError::Parse(msg.into())
 }
 
+/// A `durable=`/`history=` directory is part of the spec grammar, so it
+/// must be non-empty and free of the grammar's delimiters.
+fn check_dir(wrapper: &str, dir: &str) -> Result<(), SpecError> {
+    if dir.is_empty()
+        || dir
+            .chars()
+            .any(|c| matches!(c, '&' | '=' | '?' | '#' | '"' | '\\') || c.is_whitespace())
+    {
+        return Err(invalid(format!(
+            "{wrapper} directory {dir:?} must be non-empty and free of \
+             '&', '=', '?', '#', quotes, backslashes and whitespace \
+             (it is part of the spec grammar)"
+        )));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
-// Extension registry: constructors for engines living downstream.
+// The engine table.
 // ---------------------------------------------------------------------
 
-/// Constructor for [`EngineSpec::Lsh`] specs, provided by `sssj-lsh`.
-pub type LshBuilder = fn(theta: f64, lambda: f64, params: LshSpec) -> Box<dyn StreamJoin>;
+/// What the grammar and the builders know about one base engine. A
+/// capability is `Ok(())`, or `Err(why)` saying why the engine lacks it.
+struct EngineRow {
+    /// The grammar name.
+    keyword: &'static str,
+    /// Whether the head token spells an [`IndexKind`] (`str-l2`).
+    takes_index: bool,
+    /// `checked`: the exact oracle can shadow it.
+    checked: Result<(), &'static str>,
+    /// `durable=`: it has a replay path (it is [`Checkpointable`]).
+    durable: Result<(), &'static str>,
+    /// `inner=`: it can run per shard (it is a [`ShardableJoin`]).
+    shardable: Result<(), &'static str>,
+    /// `"core"`, or the downstream layer whose [`register`] call builds
+    /// it — the name [`SpecError::EngineUnavailable`] reports.
+    built_by: &'static str,
+}
 
-/// Constructor for [`EngineSpec::Sharded`] specs, provided by
-/// `sssj-parallel`. Receives the whole validated sharded spec.
-pub type ShardedBuilder = fn(spec: &JoinSpec) -> Result<Box<dyn StreamJoin>, SpecError>;
+const fn row(
+    keyword: &'static str,
+    takes_index: bool,
+    checked: Result<(), &'static str>,
+    durable: Result<(), &'static str>,
+    shardable: Result<(), &'static str>,
+    built_by: &'static str,
+) -> EngineRow {
+    EngineRow {
+        keyword,
+        takes_index,
+        checked,
+        durable,
+        shardable,
+        built_by,
+    }
+}
 
-/// Constructor for the per-shard worker of a [`ShardedInner::Lsh`]
-/// sharded spec, provided by `sssj-lsh` (the shard driver lives in
-/// `sssj-parallel`, which does not link the LSH crate).
-pub type LshShardBuilder =
-    fn(theta: f64, lambda: f64, params: LshSpec) -> Box<dyn ShardableJoin + Send>;
+const LOSSY: &str = "it drops pairs by design, which the oracle would flag";
+const NOT_EXP: &str = "the oracle assumes exponential decay";
+const HISTORY: &str =
+    "its per-arrival selection depends on emission history, which replay suppression would skew";
+const NO_REPLAY: &str = "it has no replay path";
+const GLOBAL: &str = "its per-arrival selection is global";
+const NESTED: &str = "sharded joins cannot nest";
 
-/// Constructor for [`WrapperSpec::Durable`] pipelines, provided by
-/// `sssj-store`. Receives the spec with the durable wrapper *stripped*
-/// (engine plus parameters only) and the storage directory; creates the
-/// store or resumes from its manifest.
-pub type DurableBuilder = fn(spec: &JoinSpec, dir: &str) -> Result<Box<dyn StreamJoin>, SpecError>;
+/// The engine table, one row per [`EngineSpec`] variant in declaration
+/// order. A sharded spec has a capability only when its inner engine's
+/// row grants it too.
+#[rustfmt::skip]
+static ENGINES: [EngineRow; 6] = [
+    //   keyword    index  checked       durable         inner=        built by
+    row("str",     true,  Ok(()),       Ok(()),         Ok(()),       "core"),
+    row("mb",      true,  Ok(()),       Ok(()),         Ok(()),       "core"),
+    row("decay",   false, Err(NOT_EXP), Ok(()),         Ok(()),       "core"),
+    row("topk",    true,  Err(LOSSY),   Err(HISTORY),   Err(GLOBAL),  "core"),
+    row("lsh",     false, Err(LOSSY),   Err(NO_REPLAY), Ok(()),       "lsh"),
+    row("sharded", false, Ok(()),       Ok(()),         Err(NESTED),  "sharded"),
+];
 
-/// Constructor building a sharded spec as a [`Checkpointable`] join
-/// (the durable base), provided by `sssj-parallel`.
-pub type ShardedCheckpointableBuilder =
-    fn(spec: &JoinSpec) -> Result<Box<dyn Checkpointable>, SpecError>;
+// ---------------------------------------------------------------------
+// Extension registry: constructors for layers living downstream.
+// ---------------------------------------------------------------------
 
-/// Constructor for [`WrapperSpec::Graph`] pipelines without a durable
-/// base, provided by `sssj-graph`: wraps an already-built inner join in
-/// the live-graph tap. Receives the full spec for the edge horizon
-/// ([`JoinSpec::horizon`]).
+/// Builds an `lsh` engine from θ, λ and its tuning.
+pub type LshBuilder = fn(theta: f64, lambda: f64, params: LshSpec) -> Box<dyn ShardableJoin + Send>;
+/// Builds a `sharded` engine from its validated spec.
+pub type ShardedBuilder = fn(spec: &JoinSpec) -> Result<Box<dyn Checkpointable>, SpecError>;
+/// Builds a pipeline rooted in a storage directory (`durable=`, `history=`).
+pub type LayerBuilder = fn(spec: &JoinSpec, dir: &str) -> Result<Box<dyn StreamJoin>, SpecError>;
+/// Taps a join with the live graph; the spec gives the edge horizon.
 pub type GraphBuilder = fn(inner: Box<dyn StreamJoin>, spec: &JoinSpec) -> Box<dyn StreamJoin>;
+/// Taps a durable pipeline's base with the live graph.
+pub type GraphBaseBuilder =
+    fn(base: Box<dyn Checkpointable>, spec: &JoinSpec) -> Box<dyn Checkpointable>;
 
-/// Constructor building a graph-wrapped spec as a [`Checkpointable`]
-/// engine (the durable base of `…&durable=<dir>&graph` pipelines),
-/// provided by `sssj-graph`. Receives the spec with the graph wrapper
-/// still attached (and everything else stripped).
-pub type GraphCheckpointableBuilder =
-    fn(spec: &JoinSpec) -> Result<Box<dyn Checkpointable>, SpecError>;
-
-/// Constructor for [`WrapperSpec::History`] pipelines, provided by
-/// `sssj-segments`. Receives the **full** spec (the history builder
-/// composes the durable and graph layers itself, attaching the
-/// compactor in between) and the history directory.
-pub type HistoryBuilder = fn(spec: &JoinSpec, dir: &str) -> Result<Box<dyn StreamJoin>, SpecError>;
-
-static LSH_BUILDER: OnceLock<LshBuilder> = OnceLock::new();
-static SHARDED_BUILDER: OnceLock<ShardedBuilder> = OnceLock::new();
-static LSH_SHARD_BUILDER: OnceLock<LshShardBuilder> = OnceLock::new();
-static DURABLE_BUILDER: OnceLock<DurableBuilder> = OnceLock::new();
-static SHARDED_CHECKPOINTABLE_BUILDER: OnceLock<ShardedCheckpointableBuilder> = OnceLock::new();
-static GRAPH_BUILDER: OnceLock<GraphBuilder> = OnceLock::new();
-static GRAPH_CHECKPOINTABLE_BUILDER: OnceLock<GraphCheckpointableBuilder> = OnceLock::new();
-static HISTORY_BUILDER: OnceLock<HistoryBuilder> = OnceLock::new();
-
-/// Registers the LSH constructor (idempotent; first registration wins).
-/// Called by `sssj_lsh::register_spec_builder()`.
-pub fn register_lsh_builder(f: LshBuilder) {
-    let _ = LSH_BUILDER.set(f);
+/// The constructors downstream crates contribute through [`register`],
+/// one slot per layer. A crate fills the slots of its own layer and
+/// leaves the rest `None` (`..Extensions::NONE`).
+#[derive(Clone, Copy)]
+pub struct Extensions {
+    /// The `lsh` engine (`sssj-lsh`): the bare engine and the per-shard
+    /// worker of `sharded?inner=lsh` alike.
+    pub lsh: Option<LshBuilder>,
+    /// The `sharded` engine (`sssj-parallel`): bare, and as the base
+    /// `durable=` wraps.
+    pub sharded: Option<ShardedBuilder>,
+    /// The `durable=` wrapper (`sssj-store`), from the spec with every
+    /// wrapper but `graph` stripped: creates the store or resumes it.
+    pub durable: Option<LayerBuilder>,
+    /// The `graph` wrapper (`sssj-graph`) around an ephemeral join.
+    pub graph: Option<GraphBuilder>,
+    /// The `graph` wrapper around a durable pipeline's base: its live
+    /// edges ride the checkpoint aux blob.
+    pub graph_base: Option<GraphBaseBuilder>,
+    /// The `history=` wrapper (`sssj-segments`), from the full spec: it
+    /// composes the durable and graph layers itself.
+    pub history: Option<LayerBuilder>,
 }
 
-/// Registers the sharded constructor (idempotent; first registration
-/// wins). Called by `sssj_parallel::register_spec_builder()`.
-pub fn register_sharded_builder(f: ShardedBuilder) {
-    let _ = SHARDED_BUILDER.set(f);
+impl Extensions {
+    /// No constructor at all.
+    pub const NONE: Extensions = Extensions {
+        lsh: None,
+        sharded: None,
+        durable: None,
+        graph: None,
+        graph_base: None,
+        history: None,
+    };
 }
 
-/// Registers the per-shard LSH worker constructor (idempotent; first
-/// registration wins). Called by `sssj_lsh::register_spec_builder()`.
-pub fn register_lsh_shard_builder(f: LshShardBuilder) {
-    let _ = LSH_SHARD_BUILDER.set(f);
+static REGISTRY: RwLock<Extensions> = RwLock::new(Extensions::NONE);
+
+/// Registers downstream constructors with the factory — the one entry
+/// point behind every crate's `register_spec_builder()`. Idempotent: the
+/// first registration of each slot wins.
+pub fn register(extensions: Extensions) {
+    let mut r = REGISTRY.write().unwrap_or_else(PoisonError::into_inner);
+    r.lsh = r.lsh.or(extensions.lsh);
+    r.sharded = r.sharded.or(extensions.sharded);
+    r.durable = r.durable.or(extensions.durable);
+    r.graph = r.graph.or(extensions.graph);
+    r.graph_base = r.graph_base.or(extensions.graph_base);
+    r.history = r.history.or(extensions.history);
 }
 
-/// Registers the durable-wrapper constructor (idempotent; first
-/// registration wins). Called by `sssj_store::register_spec_builder()`.
-pub fn register_durable_builder(f: DurableBuilder) {
-    let _ = DURABLE_BUILDER.set(f);
+/// A copy of the registry: no lock is held while a constructor runs
+/// (constructors build nested specs).
+fn registry() -> Extensions {
+    *REGISTRY.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Registers the sharded [`Checkpointable`] constructor (idempotent;
-/// first registration wins). Called by
-/// `sssj_parallel::register_spec_builder()`.
-pub fn register_sharded_checkpointable_builder(f: ShardedCheckpointableBuilder) {
-    let _ = SHARDED_CHECKPOINTABLE_BUILDER.set(f);
+/// The core engines, which both checkpoint and shard.
+trait CoreEngine: Checkpointable + ShardableJoin {}
+
+impl<T: Checkpointable + ShardableJoin> CoreEngine for T {}
+
+/// A freshly built base engine, typed by what it can do besides
+/// [`StreamJoin`].
+enum Engine {
+    /// `str`, `mb`, `decay`: checkpointable and shardable.
+    Core(Box<dyn CoreEngine>),
+    /// `sharded`: checkpointable.
+    Checkpointable(Box<dyn Checkpointable>),
+    /// `lsh`: shardable.
+    Shardable(Box<dyn ShardableJoin + Send>),
+    /// `topk`: neither.
+    Plain(Box<dyn StreamJoin>),
 }
 
-/// Registers the graph-wrapper constructor (idempotent; first
-/// registration wins). Called by `sssj_graph::register_spec_builder()`.
-pub fn register_graph_builder(f: GraphBuilder) {
-    let _ = GRAPH_BUILDER.set(f);
-}
+impl Engine {
+    fn join(self) -> Box<dyn StreamJoin> {
+        match self {
+            Engine::Core(e) => e,
+            Engine::Checkpointable(e) => e,
+            Engine::Shardable(e) => e,
+            Engine::Plain(e) => e,
+        }
+    }
 
-/// Registers the graph [`Checkpointable`] constructor (idempotent;
-/// first registration wins). Called by
-/// `sssj_graph::register_spec_builder()`.
-pub fn register_graph_checkpointable_builder(f: GraphCheckpointableBuilder) {
-    let _ = GRAPH_CHECKPOINTABLE_BUILDER.set(f);
-}
+    fn checkpointable(self) -> Option<Box<dyn Checkpointable>> {
+        match self {
+            Engine::Core(e) => Some(e),
+            Engine::Checkpointable(e) => Some(e),
+            Engine::Shardable(_) | Engine::Plain(_) => None,
+        }
+    }
 
-/// Registers the history-wrapper constructor (idempotent; first
-/// registration wins). Called by
-/// `sssj_segments::register_spec_builder()`.
-pub fn register_history_builder(f: HistoryBuilder) {
-    let _ = HISTORY_BUILDER.set(f);
+    fn worker(self) -> Option<Box<dyn ShardableJoin + Send>> {
+        match self {
+            Engine::Core(e) => Some(e),
+            Engine::Shardable(e) => Some(e),
+            Engine::Checkpointable(_) | Engine::Plain(_) => None,
+        }
+    }
 }
 
 impl JoinSpec {
@@ -557,6 +662,29 @@ impl JoinSpec {
         }
     }
 
+    /// Fails unless every engine the spec runs — the base engine and, for
+    /// a sharded spec, its per-shard inner — has the capability `cap`
+    /// reads off its engine-table row.
+    fn require(
+        &self,
+        wrapper: &str,
+        cap: fn(&EngineRow) -> Result<(), &'static str>,
+    ) -> Result<(), SpecError> {
+        let inner = match &self.engine {
+            EngineSpec::Sharded { inner, .. } => Some(inner.engine().row()),
+            _ => None,
+        };
+        for row in std::iter::once(self.engine.row()).chain(inner) {
+            if let Err(why) = cap(row) {
+                return Err(invalid(format!(
+                    "{wrapper} cannot wrap {}: {why}",
+                    row.keyword
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Checks every cross-parameter rule the grammar cannot express.
     /// [`JoinSpec::build`] calls this first; [`FromStr`] validates too,
     /// so a parsed spec is always buildable (up to engine registration).
@@ -570,71 +698,60 @@ impl JoinSpec {
                 self.lambda
             )));
         }
-        // The per-engine parameter rules, shared between base engines and
-        // sharded inners (an inner engine obeys exactly the rules of the
-        // corresponding base engine).
-        let check_decay = |d: &DecaySpec| -> Result<(), SpecError> {
-            if self.index != IndexKind::L2 {
-                return Err(invalid(format!(
-                    "the decay engine is L2-only (its pruning bounds are \
-                     index-independent); got index {}",
-                    self.index
-                )));
-            }
-            let model = d.model;
-            if !model.horizon(self.theta).is_finite() {
-                return Err(invalid(format!(
-                    "decay model {model} has an infinite horizon at theta={}",
-                    self.theta
-                )));
-            }
-            Ok(())
-        };
-        let check_lsh = |p: &LshSpec| -> Result<(), SpecError> {
-            if p.bits == 0 || !p.bits.is_multiple_of(64) {
-                return Err(invalid(format!(
-                    "lsh bits must be a positive multiple of 64: {}",
-                    p.bits
-                )));
-            }
-            if p.bands == 0 || !p.bits.is_multiple_of(p.bands) || p.bits / p.bands > 64 {
-                return Err(invalid(format!(
-                    "lsh bands must divide bits into rows of <= 64: bits={} bands={}",
-                    p.bits, p.bands
-                )));
-            }
-            if self.lambda <= 0.0 {
-                return Err(invalid(
-                    "lsh requires lambda > 0 (a finite forgetting horizon)",
-                ));
-            }
-            Ok(())
-        };
-        match &self.engine {
-            EngineSpec::Streaming | EngineSpec::MiniBatch => {}
-            EngineSpec::GenericDecay(d) => check_decay(d)?,
-            EngineSpec::TopK(k) => {
-                if *k == 0 {
-                    return Err(invalid("topk requires k >= 1"));
-                }
-            }
-            EngineSpec::Lsh(p) => check_lsh(p)?,
+        // A sharded spec's inner engine obeys exactly the rules of the
+        // same engine unsharded.
+        let engine = match self.engine {
             EngineSpec::Sharded { shards, inner } => {
-                if *shards == 0 {
+                if shards == 0 {
                     return Err(invalid("sharded requires shards >= 1"));
                 }
-                if *shards > 64 {
+                if shards > 64 {
                     return Err(invalid(format!(
                         "sharded supports at most 64 shards (routing masks \
                          are 64-bit): {shards}"
                     )));
                 }
-                match inner {
-                    ShardedInner::Streaming | ShardedInner::MiniBatch => {}
-                    ShardedInner::GenericDecay(d) => check_decay(d)?,
-                    ShardedInner::Lsh(p) => check_lsh(p)?,
+                inner.engine()
+            }
+            engine => engine,
+        };
+        match engine {
+            EngineSpec::GenericDecay(d) => {
+                if self.index != IndexKind::L2 {
+                    return Err(invalid(format!(
+                        "the decay engine is L2-only (its pruning bounds are \
+                         index-independent); got index {}",
+                        self.index
+                    )));
+                }
+                if !d.model.horizon(self.theta).is_finite() {
+                    return Err(invalid(format!(
+                        "decay model {} has an infinite horizon at theta={}",
+                        d.model, self.theta
+                    )));
                 }
             }
+            EngineSpec::TopK(0) => return Err(invalid("topk requires k >= 1")),
+            EngineSpec::Lsh(p) => {
+                if p.bits == 0 || !p.bits.is_multiple_of(64) {
+                    return Err(invalid(format!(
+                        "lsh bits must be a positive multiple of 64: {}",
+                        p.bits
+                    )));
+                }
+                if p.bands == 0 || !p.bits.is_multiple_of(p.bands) || p.bits / p.bands > 64 {
+                    return Err(invalid(format!(
+                        "lsh bands must divide bits into rows of <= 64: bits={} bands={}",
+                        p.bits, p.bands
+                    )));
+                }
+                if self.lambda <= 0.0 {
+                    return Err(invalid(
+                        "lsh requires lambda > 0 (a finite forgetting horizon)",
+                    ));
+                }
+            }
+            _ => {}
         }
         for (pos, w) in self.wrappers.iter().enumerate() {
             match w {
@@ -645,34 +762,7 @@ impl JoinSpec {
                         )));
                     }
                 }
-                WrapperSpec::Checked => match self.engine {
-                    EngineSpec::Streaming
-                    | EngineSpec::MiniBatch
-                    | EngineSpec::Sharded {
-                        inner: ShardedInner::Streaming | ShardedInner::MiniBatch,
-                        ..
-                    } => {}
-                    EngineSpec::TopK(_)
-                    | EngineSpec::Lsh(_)
-                    | EngineSpec::Sharded {
-                        inner: ShardedInner::Lsh(_),
-                        ..
-                    } => {
-                        return Err(invalid(
-                            "checked cannot wrap lsh/topk engines: they drop pairs \
-                             by design, which the oracle would flag",
-                        ));
-                    }
-                    EngineSpec::GenericDecay(_)
-                    | EngineSpec::Sharded {
-                        inner: ShardedInner::GenericDecay(_),
-                        ..
-                    } => {
-                        return Err(invalid(
-                            "checked cannot wrap decay: the oracle assumes exponential decay",
-                        ));
-                    }
-                },
+                WrapperSpec::Checked => self.require("checked", |row| row.checked)?,
                 WrapperSpec::Durable(dir) => {
                     if pos != 0 {
                         return Err(invalid(
@@ -680,45 +770,9 @@ impl JoinSpec {
                              the WAL records exactly what the engine sees",
                         ));
                     }
-                    if dir.is_empty()
-                        || dir.chars().any(|c| {
-                            matches!(c, '&' | '=' | '?' | '#' | '"' | '\\') || c.is_whitespace()
-                        })
-                    {
-                        return Err(invalid(format!(
-                            "durable directory {dir:?} must be non-empty and free of \
-                             '&', '=', '?', '#', quotes, backslashes and whitespace \
-                             (it is part of the spec grammar)"
-                        )));
-                    }
-                    match &self.engine {
-                        EngineSpec::Streaming
-                        | EngineSpec::MiniBatch
-                        | EngineSpec::GenericDecay(_) => {}
-                        EngineSpec::Sharded {
-                            inner: ShardedInner::Lsh(_),
-                            ..
-                        }
-                        | EngineSpec::Lsh(_) => {
-                            return Err(invalid(
-                                "durable supports str/mb/decay engines (and sharded \
-                                 over those); lsh workers are not checkpointable",
-                            ));
-                        }
-                        EngineSpec::Sharded { .. } => {}
-                        EngineSpec::TopK(_) => {
-                            return Err(invalid(
-                                "durable cannot wrap topk: its per-arrival selection \
-                                 depends on emission history, which replay suppression \
-                                 would skew",
-                            ));
-                        }
-                    }
-                    if self
-                        .wrappers
-                        .iter()
-                        .any(|w| matches!(w, WrapperSpec::Checked))
-                    {
+                    check_dir("durable", dir)?;
+                    self.require("durable", |row| row.durable)?;
+                    if self.wrappers.contains(&WrapperSpec::Checked) {
                         return Err(invalid(
                             "checked cannot combine with durable: recovery re-emits \
                              pairs the oracle has not seen",
@@ -726,10 +780,7 @@ impl JoinSpec {
                     }
                 }
                 WrapperSpec::Graph => {
-                    if self.wrappers[..pos]
-                        .iter()
-                        .any(|w| matches!(w, WrapperSpec::Graph))
-                    {
+                    if self.wrappers[..pos].contains(&WrapperSpec::Graph) {
                         return Err(invalid("graph may appear at most once"));
                     }
                     let durable = matches!(self.wrappers.first(), Some(WrapperSpec::Durable(_)));
@@ -741,17 +792,7 @@ impl JoinSpec {
                     }
                 }
                 WrapperSpec::History(dir) => {
-                    if dir.is_empty()
-                        || dir.chars().any(|c| {
-                            matches!(c, '&' | '=' | '?' | '#' | '"' | '\\') || c.is_whitespace()
-                        })
-                    {
-                        return Err(invalid(format!(
-                            "history directory {dir:?} must be non-empty and free of \
-                             '&', '=', '?', '#', quotes, backslashes and whitespace \
-                             (it is part of the spec grammar)"
-                        )));
-                    }
+                    check_dir("history", dir)?;
                     if self.wrappers[..pos]
                         .iter()
                         .any(|w| matches!(w, WrapperSpec::History(_)))
@@ -764,11 +805,7 @@ impl JoinSpec {
                              on the WAL's horizon GC",
                         ));
                     }
-                    let want = if self
-                        .wrappers
-                        .iter()
-                        .any(|w| matches!(w, WrapperSpec::Graph))
-                    {
+                    let want = if self.wrappers.contains(&WrapperSpec::Graph) {
                         2
                     } else {
                         1
@@ -787,23 +824,25 @@ impl JoinSpec {
 
     /// **The** factory: builds the complete pipeline this spec describes.
     ///
-    /// This is the only construction path in the workspace — the fluent
-    /// [`crate::JoinBuilder`], the CLI, the net server and the benchmark
-    /// harness all funnel through it.
+    /// Every entry surface — the fluent [`crate::JoinBuilder`], the CLI,
+    /// the net server and the benchmark harness — builds through it. The
+    /// durable layer and the sharded driver re-enter through
+    /// [`JoinSpec::build_checkpointable`] and
+    /// [`JoinSpec::build_shard_worker`]; all three construct the base
+    /// engine in one place.
     pub fn build(&self) -> Result<Box<dyn StreamJoin>, SpecError> {
         self.validate()?;
+        let reg = registry();
         let history_dir = self.wrappers.iter().find_map(|w| match w {
-            WrapperSpec::History(dir) => Some(dir.clone()),
+            WrapperSpec::History(dir) => Some(dir),
             _ => None,
         });
-        let mut join: Box<dyn StreamJoin> = if let Some(dir) = &history_dir {
+        let mut join: Box<dyn StreamJoin> = if let Some(dir) = history_dir {
             // The historical tier composes the whole durable(+graph)
             // base itself: it must hold the concrete store handle to
             // install its compactor as the GC sink, which the
-            // type-erased durable hook below cannot hand back.
-            let f = HISTORY_BUILDER
-                .get()
-                .ok_or(SpecError::EngineUnavailable("history"))?;
+            // type-erased durable constructor below cannot hand back.
+            let f = reg.history.ok_or(SpecError::EngineUnavailable("history"))?;
             f(self, dir)?
         } else if let Some(WrapperSpec::Durable(dir)) = self.wrappers.first() {
             // The durable base wraps the *bare* engine (validate pinned
@@ -811,9 +850,7 @@ impl JoinSpec {
             // top below. The constructor lives downstream in
             // `sssj-store` and either creates the store or resumes from
             // its manifest.
-            let f = DURABLE_BUILDER
-                .get()
-                .ok_or(SpecError::EngineUnavailable("durable"))?;
+            let f = reg.durable.ok_or(SpecError::EngineUnavailable("durable"))?;
             let mut bare = self.clone();
             // A graph wrapper stays on the bare spec: it is built
             // *inside* the durability boundary (via
@@ -822,30 +859,7 @@ impl JoinSpec {
             bare.wrappers.retain(|w| matches!(w, WrapperSpec::Graph));
             f(&bare, dir)?
         } else {
-            match &self.engine {
-                EngineSpec::Streaming => Box::new(Streaming::new(self.config(), self.index)),
-                EngineSpec::MiniBatch => Box::new(MiniBatch::new(self.config(), self.index)),
-                EngineSpec::GenericDecay(d) => Box::new(DecayStreaming::with_options(
-                    self.theta,
-                    d.model,
-                    d.window_max,
-                )),
-                EngineSpec::TopK(k) => {
-                    Box::new(TopKJoin::new(self.config(), self.index, *k as usize))
-                }
-                EngineSpec::Lsh(params) => {
-                    let f = LSH_BUILDER
-                        .get()
-                        .ok_or(SpecError::EngineUnavailable("lsh"))?;
-                    f(self.theta, self.lambda, *params)
-                }
-                EngineSpec::Sharded { .. } => {
-                    let f = SHARDED_BUILDER
-                        .get()
-                        .ok_or(SpecError::EngineUnavailable("sharded"))?;
-                    f(self)?
-                }
-            }
+            self.base()?.join()
         };
         let graph_in_base = matches!(self.wrappers.first(), Some(WrapperSpec::Durable(_)));
         for w in &self.wrappers {
@@ -857,10 +871,8 @@ impl JoinSpec {
                         // Already built inside the durable base.
                         join
                     } else {
-                        let f = GRAPH_BUILDER
-                            .get()
-                            .ok_or(SpecError::EngineUnavailable("graph"))?;
-                        f(join, self)
+                        let tap = reg.graph.ok_or(SpecError::EngineUnavailable("graph"))?;
+                        tap(join, self)
                     }
                 }
                 WrapperSpec::Reorder(slack) => Box::new(ReorderBuffer::new(join, *slack)),
@@ -875,66 +887,43 @@ impl JoinSpec {
 
     /// Builds the bare engine as a [`Checkpointable`] join — the base
     /// the durability layer (`sssj-store`) wraps. Requires a wrapper-free
-    /// spec (the durable builder strips its own wrapper before calling
-    /// this) and an engine with a replay path: `str`, `mb`, `decay`, or
-    /// `sharded` over those (the sharded constructor lives downstream
-    /// and must be registered, see
-    /// [`register_sharded_checkpointable_builder`]).
+    /// spec, or exactly the graph wrapper (the durable layer strips every
+    /// other one), and an engine the engine table marks durable: `str`,
+    /// `mb`, `decay`, or `sharded` over those. A graph wrapper taps the
+    /// base, and its live edge set rides the checkpoint aux blob.
     pub fn build_checkpointable(&self) -> Result<Box<dyn Checkpointable>, SpecError> {
         self.validate()?;
-        if self.wrappers == [WrapperSpec::Graph] {
-            // A graph-wrapped durable base: `sssj-graph` builds the bare
-            // engine (through this function, graph wrapper stripped) and
-            // taps it, checkpointing the live edge set as aux state.
-            let f = GRAPH_CHECKPOINTABLE_BUILDER
-                .get()
-                .ok_or(SpecError::EngineUnavailable("graph"))?;
-            return f(self);
-        }
-        if !self.wrappers.is_empty() {
-            return Err(invalid(
-                "build_checkpointable requires a wrapper-free spec (or exactly the \
-                 graph wrapper): the durable layer wraps the bare engine",
-            ));
-        }
-        Ok(match &self.engine {
-            EngineSpec::Streaming => Box::new(Streaming::new(self.config(), self.index)),
-            EngineSpec::MiniBatch => Box::new(MiniBatch::new(self.config(), self.index)),
-            EngineSpec::GenericDecay(d) => Box::new(DecayStreaming::with_options(
-                self.theta,
-                d.model,
-                d.window_max,
-            )),
-            EngineSpec::Sharded {
-                inner: ShardedInner::Lsh(_),
-                ..
+        let graph = match self.wrappers.as_slice() {
+            [] => None,
+            [WrapperSpec::Graph] => {
+                let tap = registry().graph_base;
+                Some(tap.ok_or(SpecError::EngineUnavailable("graph"))?)
             }
-            | EngineSpec::Lsh(_)
-            | EngineSpec::TopK(_) => {
-                return Err(invalid(format!(
-                    "engine {:?} is not checkpointable (durable supports str/mb/decay \
-                     and sharded over those)",
-                    self.engine.keyword()
-                )));
+            _ => {
+                return Err(invalid(
+                    "build_checkpointable requires a wrapper-free spec (or exactly the \
+                     graph wrapper): the durable layer wraps the bare engine",
+                ))
             }
-            EngineSpec::Sharded { .. } => {
-                let f = SHARDED_CHECKPOINTABLE_BUILDER
-                    .get()
-                    .ok_or(SpecError::EngineUnavailable("sharded"))?;
-                f(self)?
-            }
+        };
+        self.require("durable", |row| row.durable)?;
+        let base = self.base()?.checkpointable().ok_or_else(|| {
+            invalid(format!(
+                "engine {:?} is not checkpointable",
+                self.engine.keyword()
+            ))
+        })?;
+        Ok(match graph {
+            Some(tap) => tap(base, self),
+            None => base,
         })
     }
 
     /// Builds the engine **one shard** of a sharded spec runs — the
     /// [`ShardableJoin`] the `sssj-parallel` driver spawns per worker
-    /// thread. Only meaningful for [`EngineSpec::Sharded`] specs; the
-    /// wrapper stack belongs to the driver, not the workers, and is
-    /// ignored here.
-    ///
-    /// Like [`JoinSpec::build`], the LSH worker constructor lives
-    /// downstream and must be registered ([`register_lsh_shard_builder`],
-    /// done by `sssj_lsh::register_spec_builder`).
+    /// thread: the inner engine, with the spec's θ, λ and index. Only
+    /// meaningful for [`EngineSpec::Sharded`] specs; the wrapper stack
+    /// belongs to the driver, not the workers, and is ignored here.
     pub fn build_shard_worker(&self) -> Result<Box<dyn ShardableJoin + Send>, SpecError> {
         self.validate()?;
         let EngineSpec::Sharded { inner, .. } = &self.engine else {
@@ -943,19 +932,48 @@ impl JoinSpec {
                 self.engine.keyword()
             )));
         };
-        Ok(match inner {
-            ShardedInner::Streaming => Box::new(Streaming::new(self.config(), self.index)),
-            ShardedInner::MiniBatch => Box::new(MiniBatch::new(self.config(), self.index)),
-            ShardedInner::GenericDecay(d) => Box::new(DecayStreaming::with_options(
+        let worker = JoinSpec {
+            engine: inner.engine(),
+            index: self.index,
+            theta: self.theta,
+            lambda: self.lambda,
+            wrappers: Vec::new(),
+        };
+        worker
+            .base()?
+            .worker()
+            .ok_or_else(|| invalid(format!("engine {:?} cannot shard", inner.keyword())))
+    }
+
+    /// The one constructor match: builds the base engine the spec names,
+    /// without wrappers, typed by what it can do besides [`StreamJoin`].
+    fn base(&self) -> Result<Engine, SpecError> {
+        let reg = registry();
+        let unregistered = SpecError::EngineUnavailable(self.engine.row().built_by);
+        Ok(match &self.engine {
+            EngineSpec::Streaming => {
+                Engine::Core(Box::new(Streaming::new(self.config(), self.index)))
+            }
+            EngineSpec::MiniBatch => {
+                Engine::Core(Box::new(MiniBatch::new(self.config(), self.index)))
+            }
+            EngineSpec::GenericDecay(d) => Engine::Core(Box::new(DecayStreaming::with_options(
                 self.theta,
                 d.model,
                 d.window_max,
-            )),
-            ShardedInner::Lsh(params) => {
-                let f = LSH_SHARD_BUILDER
-                    .get()
-                    .ok_or(SpecError::EngineUnavailable("lsh"))?;
-                f(self.theta, self.lambda, *params)
+            ))),
+            EngineSpec::TopK(k) => Engine::Plain(Box::new(TopKJoin::new(
+                self.config(),
+                self.index,
+                *k as usize,
+            ))),
+            EngineSpec::Lsh(params) => {
+                let f = reg.lsh.ok_or(unregistered)?;
+                Engine::Shardable(f(self.theta, self.lambda, *params))
+            }
+            EngineSpec::Sharded { .. } => {
+                let f = reg.sharded.ok_or(unregistered)?;
+                Engine::Checkpointable(f(self)?)
             }
         })
     }
@@ -1258,141 +1276,91 @@ impl ParamBag {
             || self.bands.is_some()
             || self.seed.is_some()
             || self.estimate.is_some();
-        let mut index = self.index;
-        let engine = match engine_name {
-            "str" | "mb" => {
-                self.reject(self.model.is_some(), "model= requires the decay engine")?;
-                self.reject(
-                    self.window_max.is_some(),
-                    "bounds= requires the decay engine",
-                )?;
-                self.reject(self.k.is_some(), "k= requires the topk engine")?;
-                self.reject(self.shards.is_some(), "shards= requires the sharded engine")?;
-                self.reject(self.inner.is_some(), "inner= requires the sharded engine")?;
-                self.reject(lsh_keys, "bits/bands/seed/verify require the lsh engine")?;
-                if engine_name == "str" {
-                    EngineSpec::Streaming
-                } else {
-                    EngineSpec::MiniBatch
-                }
-            }
-            "decay" => {
-                self.reject(self.index.is_some(), "the decay engine takes no index")?;
-                self.reject(
-                    self.lambda.is_some() || self.tau.is_some(),
-                    "the decay engine takes model=, not lambda=/tau=",
-                )?;
-                self.reject(self.k.is_some(), "k= requires the topk engine")?;
-                self.reject(self.shards.is_some(), "shards= requires the sharded engine")?;
-                self.reject(self.inner.is_some(), "inner= requires the sharded engine")?;
-                self.reject(lsh_keys, "bits/bands/seed/verify require the lsh engine")?;
-                let model = self
-                    .model
-                    .ok_or_else(|| parse_err("the decay engine requires model="))?;
-                EngineSpec::GenericDecay(DecaySpec {
-                    model,
-                    window_max: self.window_max.unwrap_or(true),
-                })
-            }
-            "topk" => {
-                self.reject(self.model.is_some(), "model= requires the decay engine")?;
-                self.reject(
-                    self.window_max.is_some(),
-                    "bounds= requires the decay engine",
-                )?;
-                self.reject(self.shards.is_some(), "shards= requires the sharded engine")?;
-                self.reject(self.inner.is_some(), "inner= requires the sharded engine")?;
-                self.reject(lsh_keys, "bits/bands/seed/verify require the lsh engine")?;
-                EngineSpec::TopK(self.k.ok_or_else(|| parse_err("topk requires k="))?)
-            }
-            "lsh" => {
-                self.reject(self.index.is_some(), "the lsh engine takes no index")?;
-                self.reject(self.model.is_some(), "model= requires the decay engine")?;
-                self.reject(
-                    self.window_max.is_some(),
-                    "bounds= requires the decay engine",
-                )?;
-                self.reject(self.k.is_some(), "k= requires the topk engine")?;
-                self.reject(self.shards.is_some(), "shards= requires the sharded engine")?;
-                self.reject(self.inner.is_some(), "inner= requires the sharded engine")?;
-                EngineSpec::Lsh(self.lsh_params())
-            }
-            "sharded" => {
-                self.reject(self.k.is_some(), "k= requires the topk engine")?;
-                let token = self.inner.clone().unwrap_or_else(|| "str".to_string());
-                let (inner_name, inner_index) = match token.split_once('-') {
-                    Some((e, i)) => {
-                        let kind = IndexKind::parse(i)
-                            .ok_or_else(|| parse_err(format!("unknown inner index {i:?}")))?;
-                        (e, Some(kind))
-                    }
-                    None => (token.as_str(), None),
-                };
-                if inner_index.is_some() && index.is_some() {
-                    return Err(parse_err(
+        // A sharded spec's per-shard engine obeys exactly the rules of
+        // the same engine unsharded; its index may sit on either token.
+        let sharded = engine_name == "sharded";
+        let (name, index) = if sharded {
+            let token = self.inner.as_deref().unwrap_or("str");
+            match token.split_once('-') {
+                None => (token, self.index),
+                Some((name, i)) => {
+                    let kind = IndexKind::parse(i)
+                        .ok_or_else(|| parse_err(format!("unknown inner index {i:?}")))?;
+                    self.reject(
+                        self.index.is_some(),
                         "index given twice (on the sharded head and in inner=)",
-                    ));
-                }
-                index = inner_index.or(index);
-                let inner = match inner_name {
-                    "str" | "mb" => {
-                        self.reject(self.model.is_some(), "model= requires a decay inner")?;
-                        self.reject(self.window_max.is_some(), "bounds= requires a decay inner")?;
-                        self.reject(lsh_keys, "bits/bands/seed/verify require an lsh inner")?;
-                        if inner_name == "str" {
-                            ShardedInner::Streaming
-                        } else {
-                            ShardedInner::MiniBatch
-                        }
-                    }
-                    "decay" => {
-                        self.reject(index.is_some(), "the decay engine takes no index")?;
-                        self.reject(
-                            self.lambda.is_some() || self.tau.is_some(),
-                            "the decay engine takes model=, not lambda=/tau=",
-                        )?;
-                        self.reject(lsh_keys, "bits/bands/seed/verify require an lsh inner")?;
-                        let model = self
-                            .model
-                            .ok_or_else(|| parse_err("the decay engine requires model="))?;
-                        ShardedInner::GenericDecay(DecaySpec {
-                            model,
-                            window_max: self.window_max.unwrap_or(true),
-                        })
-                    }
-                    "lsh" => {
-                        self.reject(index.is_some(), "the lsh engine takes no index")?;
-                        self.reject(self.model.is_some(), "model= requires a decay inner")?;
-                        self.reject(self.window_max.is_some(), "bounds= requires a decay inner")?;
-                        ShardedInner::Lsh(self.lsh_params())
-                    }
-                    "topk" => {
-                        return Err(parse_err(
-                            "topk cannot shard: its per-arrival selection is global",
-                        ))
-                    }
-                    "sharded" => return Err(parse_err("sharded cannot nest")),
-                    other => return Err(parse_err(format!("unknown inner engine {other:?}"))),
-                };
-                EngineSpec::Sharded {
-                    shards: self
-                        .shards
-                        .ok_or_else(|| parse_err("sharded requires shards="))?,
-                    inner,
+                    )?;
+                    (name, Some(kind))
                 }
             }
+        } else {
+            (engine_name, self.index)
+        };
+        if let (true, Some(Err(why))) = (
+            sharded,
+            ENGINES
+                .iter()
+                .find(|row| row.keyword == name)
+                .map(|row| row.shardable),
+        ) {
+            return Err(parse_err(format!("{name} cannot run per shard: {why}")));
+        }
+        let engine = match name {
+            "str" => EngineSpec::Streaming,
+            "mb" => EngineSpec::MiniBatch,
+            "decay" => EngineSpec::GenericDecay(DecaySpec {
+                model: self
+                    .model
+                    .ok_or_else(|| parse_err("the decay engine requires model="))?,
+                window_max: self.window_max.unwrap_or(true),
+            }),
+            "topk" => EngineSpec::TopK(self.k.ok_or_else(|| parse_err("topk requires k="))?),
+            "lsh" => EngineSpec::Lsh(self.lsh_params()),
+            other if sharded => return Err(parse_err(format!("unknown inner engine {other:?}"))),
             other => return Err(parse_err(format!("unknown engine {other:?}"))),
         };
+        for (given, key, owner) in [
+            (self.model.is_some(), "model=", "decay"),
+            (self.window_max.is_some(), "bounds=", "decay"),
+            (self.k.is_some(), "k=", "topk"),
+            (lsh_keys, "bits/bands/seed/verify", "lsh"),
+        ] {
+            if given && name != owner {
+                return Err(parse_err(format!("{key} requires the {owner} engine")));
+            }
+        }
+        self.reject(
+            !sharded && (self.shards.is_some() || self.inner.is_some()),
+            "shards= and inner= require the sharded engine",
+        )?;
+        if index.is_some() && !engine.takes_index() {
+            return Err(parse_err(format!("the {name} engine takes no index")));
+        }
         // The decay engine's model carries the decay; pin λ to 0 so the
         // canonical form (which omits it) round-trips exactly.
-        let decay_engine = matches!(
-            engine,
-            EngineSpec::GenericDecay(_)
-                | EngineSpec::Sharded {
-                    inner: ShardedInner::GenericDecay(_),
-                    ..
-                }
-        );
+        let decay_engine = name == "decay";
+        self.reject(
+            decay_engine && (self.lambda.is_some() || self.tau.is_some()),
+            "the decay engine takes model=, not lambda=/tau=",
+        )?;
+        let engine = if sharded {
+            EngineSpec::Sharded {
+                shards: self
+                    .shards
+                    .ok_or_else(|| parse_err("sharded requires shards="))?,
+                inner: match engine {
+                    EngineSpec::Streaming => ShardedInner::Streaming,
+                    EngineSpec::MiniBatch => ShardedInner::MiniBatch,
+                    EngineSpec::GenericDecay(d) => ShardedInner::GenericDecay(d),
+                    EngineSpec::Lsh(p) => ShardedInner::Lsh(p),
+                    EngineSpec::TopK(_) | EngineSpec::Sharded { .. } => {
+                        unreachable!("the engine table refuses to shard {name}")
+                    }
+                },
+            }
+        } else {
+            engine
+        };
         let spec = JoinSpec {
             engine,
             index: index.unwrap_or(IndexKind::L2),

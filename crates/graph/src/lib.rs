@@ -41,8 +41,9 @@
 //! # Spec integration
 //!
 //! The `graph` wrapper key stands a graph up declaratively through the
-//! one spec factory — [`register_spec_builder`] hooks the constructors
-//! into [`sssj_core::JoinSpec::build`]:
+//! one spec factory — [`register_spec_builder`] registers the graph taps
+//! ([`sssj_core::spec::register`]) that [`sssj_core::JoinSpec::build`]
+//! applies:
 //!
 //! ```
 //! sssj_graph::register_spec_builder();
@@ -74,7 +75,7 @@ pub mod snapshot;
 
 use std::cell::RefCell;
 
-use sssj_core::{Checkpointable, JoinSpec, SpecError, StreamJoin, WrapperSpec};
+use sssj_core::{JoinSpec, SpecError, StreamJoin, WrapperSpec};
 
 pub use graph::{Edge, ExpiredEdge, GraphStats, SimilarityGraph};
 pub use join::{GraphDelta, GraphHandle, GraphJoin, GraphedEngine};
@@ -122,40 +123,50 @@ pub fn take_stashed_handle() -> Option<GraphHandle> {
     LAST_HANDLE.with(|slot| slot.borrow_mut().take())
 }
 
-/// Registers the graph constructors with the [`sssj_core::spec`]
-/// factory, so `…&graph` [`JoinSpec`]s build a [`GraphJoin`] (or, under
-/// `durable=`, a [`GraphedEngine`] inside the durable base). Idempotent;
-/// every workspace binary calls it at startup (via
-/// `sssj_net::register_spec_builders`).
+/// Registers the graph taps with the [`sssj_core::spec`] factory
+/// ([`sssj_core::spec::register`]), so `…&graph` [`JoinSpec`]s build a
+/// [`GraphJoin`] (or, under `durable=`, a [`GraphedEngine`] around the
+/// base the factory built). Idempotent; every workspace binary calls it
+/// at startup (via `sssj_net::register_spec_builders`).
 pub fn register_spec_builder() {
-    sssj_core::spec::register_graph_builder(|inner, spec| {
-        let join = GraphJoin::new(inner, spec.horizon());
-        stash(join.handle());
-        Box::new(join) as Box<dyn StreamJoin>
-    });
-    sssj_core::spec::register_graph_checkpointable_builder(|spec| {
-        let mut bare = spec.clone();
-        bare.wrappers.clear();
-        let inner = bare.build_checkpointable()?;
-        let engine = GraphedEngine::new(inner, spec.horizon());
-        stash(engine.handle());
-        Ok(Box::new(engine) as Box<dyn Checkpointable>)
+    use sssj_core::spec::{register, Extensions};
+    register(Extensions {
+        graph: Some(|inner, spec| {
+            let join = GraphJoin::new(inner, spec.horizon());
+            stash(join.handle());
+            Box::new(join)
+        }),
+        graph_base: Some(|base, spec| {
+            let engine = GraphedEngine::new(base, spec.horizon());
+            stash(engine.handle());
+            Box::new(engine)
+        }),
+        ..Extensions::NONE
     });
 }
 
 /// Builds a `graph`-wrapped spec through the one factory **and** hands
 /// back the graph's query handle — what the net session and the CLI use
 /// so queries can be served against the running join. Fails with
-/// [`SpecError::Invalid`] when the spec has no `graph` wrapper.
+/// [`SpecError::Invalid`] when the spec has no `graph` wrapper, or has a
+/// `history=` wrapper (whose pipeline takes the graph handle itself;
+/// build those with `sssj_segments::build_with_handles`).
 pub fn build_with_handle(spec: &JoinSpec) -> Result<(Box<dyn StreamJoin>, GraphHandle), SpecError> {
     register_spec_builder();
-    if !spec
-        .wrappers
-        .iter()
-        .any(|w| matches!(w, WrapperSpec::Graph))
-    {
+    if !spec.wrappers.contains(&WrapperSpec::Graph) {
         return Err(SpecError::Invalid(
             "build_with_handle requires a graph-wrapped spec (append &graph)".into(),
+        ));
+    }
+    if spec
+        .wrappers
+        .iter()
+        .any(|w| matches!(w, WrapperSpec::History(_)))
+    {
+        return Err(SpecError::Invalid(
+            "build_with_handle cannot build a history= spec: use \
+             sssj_segments::build_with_handles, which returns the graph handle too"
+                .into(),
         ));
     }
     LAST_HANDLE.with(|slot| slot.borrow_mut().take());

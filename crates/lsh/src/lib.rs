@@ -39,17 +39,16 @@ pub use eval::{measure_accuracy, AccuracyReport};
 pub use join::{LshJoin, LshParams, VerifyMode};
 pub use simhash::{Signature, SimHasher};
 
-/// Registers the LSH engine with the [`sssj_core::spec`] factory, so
-/// `lsh?…` [`sssj_core::JoinSpec`] strings build an [`LshJoin`] — and the
-/// per-shard worker constructor, so `sharded?inner=lsh&…` specs can spawn
-/// LSH workers (the shard driver in `sssj-parallel` does not link this
-/// crate). Idempotent; every workspace binary calls it at startup.
+/// Registers the LSH constructor with the [`sssj_core::spec`] factory
+/// ([`sssj_core::spec::register`]), so `lsh?…` [`sssj_core::JoinSpec`]
+/// strings build an [`LshJoin`] and `sharded?inner=lsh&…` specs can
+/// spawn LSH workers (the shard driver in `sssj-parallel` does not link
+/// this crate). Idempotent; every workspace binary calls it at startup.
 pub fn register_spec_builder() {
-    sssj_core::spec::register_lsh_builder(|theta, lambda, p| {
-        Box::new(LshJoin::new(theta, lambda, LshParams::from(p)))
-    });
-    sssj_core::spec::register_lsh_shard_builder(|theta, lambda, p| {
-        Box::new(LshJoin::new(theta, lambda, LshParams::from(p)))
+    use sssj_core::spec::{register, Extensions};
+    register(Extensions {
+        lsh: Some(|theta, lambda, p| Box::new(LshJoin::new(theta, lambda, LshParams::from(p)))),
+        ..Extensions::NONE
     });
 }
 

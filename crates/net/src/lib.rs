@@ -83,7 +83,10 @@ pub use session::{Session, SessionDefaults};
 
 /// Registers the downstream engines (LSH, sharded), the durable store,
 /// the live graph and the historical tier with the [`sssj_core::spec`]
-/// factory, so client-negotiated specs reach every variant — including
+/// factory (each crate's `register_spec_builder` makes one
+/// [`sssj_core::spec::register`] call; `sssj_segments` also registers the
+/// store and graph layers it composes), so client-negotiated specs reach
+/// every variant — including
 /// `…&durable=<dir>` pipelines, which create or resume persistent
 /// state, `…&graph` pipelines, whose sessions serve the
 /// `QUERY`/`SUBSCRIBE` verbs, and `…&history=<dir>` pipelines, whose

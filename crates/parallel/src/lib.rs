@@ -69,20 +69,21 @@ pub use shard::{
     run_sharded, sharded_run, RoutingMode, ShardLoad, ShardReport, ShardedJoin, ShardedOutput,
 };
 
-/// Registers the sharded engine with the [`sssj_core::spec`] factory, so
-/// `sharded?…` [`sssj_core::JoinSpec`] strings build a [`ShardedJoin`].
+/// Registers the sharded constructor with the [`sssj_core::spec`]
+/// factory ([`sssj_core::spec::register`]), so `sharded?…`
+/// [`sssj_core::JoinSpec`] strings build a [`ShardedJoin`] — bare, and as
+/// the checkpointable base `durable=` wraps (per-shard aux capture
+/// happens at a batch boundary via the worker control channel).
 /// Idempotent; every workspace binary calls it at startup. (LSH inner
 /// engines additionally need `sssj_lsh::register_spec_builder`, which
-/// registers the per-shard LSH worker constructor.)
+/// registers the LSH constructor the workers are built with.)
 pub fn register_spec_builder() {
-    sssj_core::spec::register_sharded_builder(|spec| {
-        ShardedJoin::from_spec(spec).map(|j| Box::new(j) as Box<dyn sssj_core::StreamJoin>)
-    });
-    // The durable layer (`sssj-store`) builds sharded engines through
-    // this hook; per-shard aux capture happens at a batch boundary via
-    // the worker control channel.
-    sssj_core::spec::register_sharded_checkpointable_builder(|spec| {
-        ShardedJoin::from_spec(spec).map(|j| Box::new(j) as Box<dyn sssj_core::Checkpointable>)
+    use sssj_core::spec::{register, Extensions};
+    register(Extensions {
+        sharded: Some(|spec| {
+            ShardedJoin::from_spec(spec).map(|j| Box::new(j) as Box<dyn sssj_core::Checkpointable>)
+        }),
+        ..Extensions::NONE
     });
 }
 

@@ -85,19 +85,24 @@ thread_local! {
         const { RefCell::new(None) };
 }
 
-/// Registers the history constructor (plus the store and graph hooks
-/// it composes) with the [`sssj_core::spec`] factory, so
+/// Registers the history constructor (plus the store and graph layers
+/// it composes) with the [`sssj_core::spec`] factory
+/// ([`sssj_core::spec::register`]), so
 /// `…&durable=<dir>[&graph]&history=<dir>` specs build a
 /// [`HistoryJoin`]. Idempotent.
 pub fn register_spec_builder() {
+    use sssj_core::spec::{register, Extensions};
     sssj_store::register_spec_builder();
     sssj_graph::register_spec_builder();
-    sssj_core::spec::register_history_builder(|spec, _dir| {
-        let join = HistoryJoin::open(spec, DurableOptions::default())?;
-        LAST_HANDLES.with(|slot| {
-            *slot.borrow_mut() = Some((join.graph_handle(), join.history_handle()));
-        });
-        Ok(Box::new(join) as Box<dyn StreamJoin>)
+    register(Extensions {
+        history: Some(|spec, _dir| {
+            let join = HistoryJoin::open(spec, DurableOptions::default())?;
+            LAST_HANDLES.with(|slot| {
+                *slot.borrow_mut() = Some((join.graph_handle(), join.history_handle()));
+            });
+            Ok(Box::new(join) as Box<dyn StreamJoin>)
+        }),
+        ..Extensions::NONE
     });
 }
 

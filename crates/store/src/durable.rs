@@ -716,8 +716,9 @@ pub struct Recovered {
 /// suppressed up to the checkpointed state, and returns the join ready
 /// to continue plus the re-emission tail.
 ///
-/// The sharded engine constructors must be registered first when the
-/// stored spec is `sharded?…` (`sssj_parallel::register_spec_builder`).
+/// The sharded constructor must be registered first when the stored spec
+/// is `sharded?…` (`sssj_parallel::register_spec_builder`), and the LSH
+/// and graph ones when it names those layers.
 pub fn recover(dir: &Path) -> Result<Recovered, StoreError> {
     let spec_text = fs::read_to_string(dir.join("SPEC")).map_err(|e| {
         StoreError::Corrupt(format!(

@@ -37,8 +37,9 @@
 //! sharded?theta=0.6&lambda=0.1&shards=4&inner=str-l2&durable=/var/sssj
 //! ```
 //!
-//! [`register_spec_builder`] hooks the constructor into
-//! [`sssj_core::spec::JoinSpec::build`]; building such a spec *creates*
+//! [`register_spec_builder`] registers the constructor
+//! ([`sssj_core::spec::register`]) that
+//! [`sssj_core::spec::JoinSpec::build`] calls; building such a spec *creates*
 //! the store, or *resumes* it when the directory already holds a
 //! manifest (the replay tail surfaces on the first `process` call, and
 //! [`sssj_core::StreamJoin::resume_point`] tells the caller how many
@@ -127,13 +128,18 @@ impl From<io::Error> for StoreError {
 }
 
 /// Registers the durable-wrapper constructor with the
-/// [`sssj_core::spec`] factory, so `…&durable=<dir>` specs build (and
-/// resume) a [`DurableJoin`]. Idempotent; every workspace binary calls
-/// it at startup (via `sssj_net::register_spec_builders`).
+/// [`sssj_core::spec`] factory ([`sssj_core::spec::register`]), so
+/// `…&durable=<dir>` specs build (and resume) a [`DurableJoin`].
+/// Idempotent; every workspace binary calls it at startup (via
+/// `sssj_net::register_spec_builders`).
 pub fn register_spec_builder() {
-    sssj_core::spec::register_durable_builder(|spec, dir| {
-        DurableJoin::open(spec, std::path::Path::new(dir), DurableOptions::default())
-            .map(|j| Box::new(j) as Box<dyn sssj_core::StreamJoin>)
-            .map_err(|e| sssj_core::SpecError::Invalid(format!("durable store {dir}: {e}")))
+    use sssj_core::spec::{register, Extensions};
+    register(Extensions {
+        durable: Some(|spec, dir| {
+            DurableJoin::open(spec, std::path::Path::new(dir), DurableOptions::default())
+                .map(|j| Box::new(j) as Box<dyn sssj_core::StreamJoin>)
+                .map_err(|e| sssj_core::SpecError::Invalid(format!("durable store {dir}: {e}")))
+        }),
+        ..Extensions::NONE
     });
 }

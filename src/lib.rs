@@ -430,16 +430,14 @@ pub use sssj_types as types;
 
 /// Registers every constructor that lives downstream of `sssj-core`
 /// (LSH, sharded, the durable store, the live graph, the historical
-/// segment tier) with the [`core::spec::JoinSpec`] factory. Idempotent;
-/// call it once before building `lsh?…` / `sharded-…` / `…durable=` /
-/// `…&graph` / `…&history=` specs in an embedding application. (The
-/// workspace binaries — CLI, net server, bench harness — already do.)
+/// segment tier) with the [`core::spec::JoinSpec`] factory, through
+/// [`core::spec::register`] — the same set as
+/// [`net::register_spec_builders`], which it calls. Idempotent; call it
+/// once before building `lsh?…` / `sharded-…` / `…durable=` / `…&graph`
+/// / `…&history=` specs in an embedding application. (The workspace
+/// binaries — CLI, net server, bench harness — already do.)
 pub fn register_all_engines() {
-    sssj_lsh::register_spec_builder();
-    sssj_parallel::register_spec_builder();
-    sssj_store::register_spec_builder();
-    sssj_graph::register_spec_builder();
-    sssj_segments::register_spec_builder();
+    sssj_net::register_spec_builders();
 }
 
 /// The one-stop import for applications.
