@@ -19,13 +19,43 @@
 //! API) fall back to a small open-addressing spill table with the same
 //! epoch discipline, so correctness never depends on id density.
 //!
-//! # The chunk path
+//! # The list pass
 //!
 //! STR-L2 spends most of a dense record in
-//! [`ScoreAccumulator::accumulate_batch_rev`], replaying kernel-prepared
-//! chunks of up to 64 postings. A time-ordered posting list holds its
-//! ids in arrival order, so a chunk's ids are strictly rising and land
-//! in distinct slots; once a chunk is checked to be that — at least 8
+//! [`ScoreAccumulator::accumulate_l2_list_rev`]: one newest-first pass
+//! over a time-ordered posting list that computes each posting's decay
+//! bound, score delta, prune threshold and admission flag four at a time
+//! in AVX2 registers (`sssj_kernels::avx2::l2_lanes`) and applies them to
+//! the score slots in the same registers — no intermediate arrays.
+//!
+//! A group of four is applied as one step: gather the four slots'
+//! scores and stamps, blend, then store the four lanes from the newest
+//! posting down. That is the per-entry rule only if no store of the
+//! group could have changed what the group gathered, i.e. if the four
+//! slots are *distinct*; so a group takes the vector step only when its
+//! four offsets rise strictly inside the allocated dense window.
+//! Distinctness *across* groups is not needed: groups run in program
+//! order, and each gathers after the previous one stored. A time-ordered
+//! list holds ids in arrival order, so in practice every group of a
+//! list qualifies; one that does not (ids below the floor or past the
+//! window, or the falling ids of a reorder buffer's release order) runs
+//! the per-entry rule for its four postings, which covers growth and
+//! the spill table. Storing the lanes newest-first keeps `touched` in
+//! the order a per-entry walk would have touched the slots.
+//!
+//! The `n % 4` oldest postings, lists shorter than four and every lane
+//! but AVX2 take the per-entry rule with the scalar kernel formula
+//! (`sssj_kernels::l2_candidate`), which the vector form matches bit for
+//! bit.
+//!
+//! # The chunk path
+//!
+//! The decay engine replays kernel-prepared chunks of up to 64 postings
+//! through [`ScoreAccumulator::accumulate_batch_rev`] (its decay factors
+//! come from the decay model per posting, not from a table, so the list
+//! pass does not serve it). A time-ordered posting list holds its ids in
+//! arrival order, so a chunk's ids are strictly rising and land in
+//! distinct slots; once a chunk is checked to be that — at least 8
 //! entries, all inside the allocated dense window — the per-entry
 //! branches (live? positive? admit? prune?) become masks with
 //! unconditional stores. Short, unsorted, repeated or out-of-window
@@ -40,6 +70,10 @@
 //! In registers the loop keeps no jump but its bounds checks and back
 //! edge (`objdump -d --no-show-raw-insn` shows both forms). SSE2 is part
 //! of the x86-64 baseline, so there is no runtime dispatch.
+
+use sssj_kernels::L2BatchParams;
+
+use crate::PackedPosting;
 
 const EMPTY: u64 = u64::MAX;
 
@@ -228,19 +262,214 @@ impl ScoreAccumulator {
         }
         let mut admitted = 0u32;
         for i in (0..ids.len()).rev() {
-            let new = match self.accumulate(ids[i], deltas[i], admit[i] != 0) {
-                Accumulated::Updated(new) => new,
-                Accumulated::Admitted(new) => {
-                    admitted += 1;
-                    new
-                }
-                Accumulated::Skipped => continue,
-            };
-            if new < prune_below[i] {
-                self.zero(ids[i]);
-            }
+            admitted += self.accumulate_pruned(ids[i], deltas[i], admit[i] != 0, prune_below[i]);
         }
         admitted
+    }
+
+    /// The per-entry rule of the batch replays: [`Self::accumulate`],
+    /// then [`Self::zero`] when the new score falls below `prune_below`
+    /// (Algorithm 3's candidate pruning). Returns 1 when the entry was
+    /// newly admitted, else 0.
+    #[inline]
+    fn accumulate_pruned(&mut self, key: u64, delta: f64, admit: bool, prune_below: f64) -> u32 {
+        let (new, admitted) = match self.accumulate(key, delta, admit) {
+            Accumulated::Updated(new) => (new, 0),
+            Accumulated::Admitted(new) => (new, 1),
+            Accumulated::Skipped => return 0,
+        };
+        if new < prune_below {
+            self.zero(key);
+        }
+        admitted
+    }
+
+    /// STR-L2 candidate generation over one time-ordered posting list,
+    /// newest posting first: for each posting, the decay upper bound
+    /// from the quantized table `factors`, the score delta `xj·w`, the
+    /// prune threshold `θₛ − ‖x′‖·pn·df` and the admission flag
+    /// `rs2·df ≥ θₛ` (`sssj_kernels::l2_candidate`), applied at once
+    /// by the per-entry rule of [`Self::accumulate_batch_rev`]. Returns
+    /// how many postings were newly admitted.
+    ///
+    /// Equal — admitted count, touch order, every score bit — to
+    /// `sssj_kernels::l2_candidate_batch` over `rchunks(64)` followed by
+    /// [`Self::accumulate_batch_rev`] on each chunk, without the arrays
+    /// between them (see [the list pass](self#the-list-pass)). Like the
+    /// batch kernel it needs a non-degenerate table (non-empty
+    /// `factors`, `p.inv_step > 0`) and gaps `p.now − t` that are not
+    /// NaN.
+    pub fn accumulate_l2_list_rev(
+        &mut self,
+        postings: &[PackedPosting],
+        p: &L2BatchParams,
+        factors: &[f64],
+    ) -> u32 {
+        if postings.is_empty() {
+            return 0;
+        }
+        assert!(!factors.is_empty() && p.inv_step > 0.0, "degenerate table");
+        #[cfg(target_arch = "x86_64")]
+        if postings.len() >= 4 && sssj_kernels::active_lane() == sssj_kernels::Lane::Avx2 {
+            // SAFETY: `active_lane` reports AVX2 only when the CPU has it.
+            return unsafe { self.l2_list_avx2(postings, p, factors) };
+        }
+        self.l2_entries_rev(postings, p, factors)
+    }
+
+    /// The per-entry route of [`Self::accumulate_l2_list_rev`]: the scalar
+    /// kernel formula and [`Self::accumulate_pruned`], newest first.
+    fn l2_entries_rev(
+        &mut self,
+        postings: &[PackedPosting],
+        p: &L2BatchParams,
+        factors: &[f64],
+    ) -> u32 {
+        let mut admitted = 0u32;
+        for q in postings.iter().rev() {
+            let c = sssj_kernels::l2_candidate(p, factors, q.weight, q.prefix_norm, q.t);
+            admitted += self.accumulate_pruned(q.id, c.delta, c.admit, c.prune_below);
+        }
+        admitted
+    }
+
+    /// The AVX2 route of [`Self::accumulate_l2_list_rev`]: groups of four
+    /// from the newest end, each applied in registers when its offsets
+    /// rise strictly inside the dense window and by
+    /// [`Self::l2_entries_rev`] otherwise; then the `n % 4` oldest
+    /// postings by [`Self::l2_entries_rev`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn l2_list_avx2(
+        &mut self,
+        postings: &[PackedPosting],
+        p: &L2BatchParams,
+        factors: &[f64],
+    ) -> u32 {
+        use sssj_kernels::avx2::{l2_lanes, L2Splat};
+        use std::arch::x86_64::*;
+
+        let raw = PackedPosting::as_words(postings);
+        let splat = L2Splat::new(p, factors);
+        let tail = postings.len() % 4;
+        let epoch = _mm_set1_epi32(self.epoch as i32);
+        let base = _mm256_set1_epi64x(self.base as i64);
+        let zero = _mm256_setzero_pd();
+        // The 64-bit lanes 0, 2, 4, 6 of a mask, as four 32-bit lanes.
+        let low_halves = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+        // The dense window and its arrays; `l2_entries_rev` may grow them,
+        // so they are re-read after it runs.
+        let window = |acc: &mut Self| {
+            let len = acc.vals.len();
+            debug_assert_eq!(len, acc.stamps.len());
+            let last = len.min(DENSE_SPAN_LIMIT as usize) as i64 - 1;
+            (
+                len,
+                _mm256_set1_epi64x(last),
+                acc.vals.as_mut_ptr(),
+                acc.stamps.as_mut_ptr(),
+            )
+        };
+        let (mut len, mut last, mut vals, mut stamps) = window(self);
+        // A posting opens at most one slot, so with room for the whole
+        // list `touched` never reallocates during the pass: its pointer
+        // stays valid and its length can live in a register.
+        self.touched.reserve(postings.len());
+        let touched = self.touched.as_mut_ptr();
+        let mut n = self.touched.len();
+        let mut admitted = 0u32;
+        let mut i = postings.len();
+        while i >= tail + 4 {
+            i -= 4;
+            // SAFETY: `i + 4 <= postings.len()`, so `raw` holds the
+            // `4·(i+4)` words `l2_lanes` reads; `factors` is not empty
+            // (asserted by the caller); this function runs with AVX2
+            // enabled.
+            let lanes = unsafe { l2_lanes(raw, i, &splat) };
+            let offs = _mm256_sub_epi64(lanes.ids, base);
+            // Lane k qualifies when 0 ≤ off[k] ≤ last, and the group when
+            // moreover off[0] < off[1] < off[2] < off[3] (distinct slots).
+            let outside = _mm256_or_si256(
+                _mm256_cmpgt_epi64(_mm256_setzero_si256(), offs),
+                _mm256_cmpgt_epi64(offs, last),
+            );
+            let next = _mm256_permute4x64_epi64::<0b11_11_10_01>(offs);
+            let rising = _mm256_cmpgt_epi64(next, offs);
+            let fails = _mm256_movemask_pd(_mm256_castsi256_pd(outside))
+                | (!_mm256_movemask_pd(_mm256_castsi256_pd(rising)) & 0b0111);
+            if fails != 0 {
+                // SAFETY: the first `n` elements are initialised, as at the
+                // end of the pass. The per-entry rule pushes at most four
+                // more, inside the reserve, so `touched` stays in place.
+                unsafe { self.touched.set_len(n) };
+                admitted += self.l2_entries_rev(&postings[i..i + 4], p, factors);
+                n = self.touched.len();
+                (len, last, vals, stamps) = window(self);
+                continue;
+            }
+            let off = [
+                _mm256_extract_epi64::<0>(offs) as usize,
+                _mm256_extract_epi64::<1>(offs) as usize,
+                _mm256_extract_epi64::<2>(offs) as usize,
+                _mm256_extract_epi64::<3>(offs) as usize,
+            ];
+            debug_assert!(off[0] < off[1] && off[1] < off[2] && off[2] < off[3] && off[3] < len);
+            // SAFETY: every lane of `offs` lies in `[0, len)` (checked
+            // above, asserted here) and `vals`/`stamps` hold `len`
+            // elements each.
+            let (v, st) = unsafe {
+                (
+                    _mm256_i64gather_pd::<8>(vals, offs),
+                    _mm256_i64gather_epi32::<4>(stamps as *const i32, offs),
+                )
+            };
+            // The per-entry rule of `accumulate` + `zero` as masks:
+            // upd = live ∧ v > 0; adm = ¬upd ∧ admit; take = upd ∨ adm;
+            // new = (live ? v : 0) + δ; store take ? (new < pb ? 0 : new) : v.
+            let live = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(_mm_cmpeq_epi32(st, epoch)));
+            let upd = _mm256_and_pd(live, _mm256_cmp_pd::<_CMP_GT_OQ>(v, zero));
+            let adm = _mm256_andnot_pd(upd, lanes.admit);
+            let take = _mm256_or_pd(upd, adm);
+            let new = _mm256_add_pd(_mm256_and_pd(v, live), lanes.deltas);
+            let pruned = _mm256_cmp_pd::<_CMP_LT_OQ>(new, lanes.prune_below);
+            let out = _mm256_blendv_pd(v, _mm256_andnot_pd(pruned, new), take);
+            let take32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                _mm256_castpd_si256(take),
+                low_halves,
+            ));
+            let stamp = _mm_blendv_epi8(st, epoch, take32);
+            let fresh = _mm256_movemask_pd(_mm256_andnot_pd(live, take)) as usize;
+            admitted += _mm256_movemask_pd(adm).count_ones();
+
+            let (lo, hi) = (_mm256_castpd256_pd128(out), _mm256_extractf128_pd::<1>(out));
+            // SAFETY: each `off[k] < len` (checked and asserted above), the
+            // length of `vals` and of `stamps`; the four offsets are
+            // distinct, so the order of these stores does not matter.
+            unsafe {
+                _mm_storeh_pd(vals.add(off[3]), hi);
+                _mm_storel_pd(vals.add(off[2]), hi);
+                _mm_storeh_pd(vals.add(off[1]), lo);
+                _mm_storel_pd(vals.add(off[0]), lo);
+                *stamps.add(off[3]) = _mm_extract_epi32::<3>(stamp) as u32;
+                *stamps.add(off[2]) = _mm_extract_epi32::<2>(stamp) as u32;
+                *stamps.add(off[1]) = _mm_extract_epi32::<1>(stamp) as u32;
+                *stamps.add(off[0]) = _mm_extract_epi32::<0>(stamp) as u32;
+            }
+            // `touched` takes every offset, newest posting first, but only
+            // advances past a freshly opened slot.
+            for k in (0..4).rev() {
+                debug_assert!(n < self.touched.capacity());
+                // SAFETY: the reserve above left room for one element per
+                // posting past the length at entry, and `n` has advanced at
+                // most once per posting applied so far.
+                unsafe { touched.add(n).write(off[k] as u32) };
+                n += (fresh >> k) & 1;
+            }
+        }
+        // SAFETY: the first `n` elements are initialised: the length at
+        // entry, plus one written offset per step that advanced `n`.
+        unsafe { self.touched.set_len(n) };
+        admitted + self.l2_entries_rev(&postings[..tail], p, factors)
     }
 
     /// The chunk fast path of [`Self::accumulate_batch_rev`], or `None`

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! Substrate data structures for the streaming similarity self-join.
 //!
 //! Section 6.2 of the paper names three implementation ingredients, all

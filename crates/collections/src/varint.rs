@@ -1,11 +1,10 @@
-//! LEB128 variable-length integers and zigzag encoding.
+//! LEB128 variable-length integers.
 //!
 //! The substrate for the checkpoint encodings: arrival ordinals,
 //! dimension ids and counts are small and/or slowly increasing, so
 //! delta + varint encoding shrinks them from fixed 4–8 bytes to
 //! typically 1–2. Values use plain LEB128 (7 payload bits per byte, high
-//! bit = continuation); the zigzag map turns a signed delta into a short
-//! unsigned one first.
+//! bit = continuation).
 //!
 //! Decoding is hardened for untrusted input: continuation chains longer
 //! than 10 bytes and non-canonical final bytes that overflow 64 bits are
@@ -28,19 +27,6 @@ pub fn write_u64(value: u64, out: &mut Vec<u8>) -> usize {
         }
         out.push(byte | 0x80);
     }
-}
-
-/// The zigzag map (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`): small magnitudes (of either sign) become small
-/// unsigned values.
-#[inline]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// The inverse zigzag map.
-#[inline]
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Decode errors.
@@ -107,16 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_known_values() {
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
-        assert_eq!(zigzag(i64::MIN), u64::MAX);
-        assert_eq!(unzigzag(u64::MAX), i64::MIN);
-    }
-
-    #[test]
     fn eof_detected() {
         let mut out = Vec::new();
         write_u64(1 << 40, &mut out);
@@ -166,11 +142,6 @@ mod tests {
         fn small_values_encode_short(v in 0u64..128) {
             let mut out = Vec::new();
             prop_assert_eq!(write_u64(v, &mut out), 1);
-        }
-
-        #[test]
-        fn zigzag_is_a_bijection(v in proptest::num::i64::ANY) {
-            prop_assert_eq!(unzigzag(zigzag(v)), v);
         }
     }
 }

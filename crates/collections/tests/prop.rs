@@ -1,8 +1,13 @@
 //! Model-based property tests: each structure is compared against a simple
 //! reference implementation under random operation sequences.
 
+use std::sync::{Mutex, MutexGuard};
+
 use proptest::prelude::*;
-use sssj_collections::{Accumulated, DecayedMaxVec, LinkedHashMap, ScoreAccumulator};
+use sssj_collections::{
+    Accumulated, DecayedMaxVec, LinkedHashMap, PackedPosting, ScoreAccumulator,
+};
+use sssj_kernels::{force_lane, l2_candidate_batch, L2BatchParams, Lane};
 
 #[derive(Clone, Debug)]
 enum MapOp {
@@ -195,7 +200,8 @@ fn acc_prune() -> impl Strategy<Value = f64> {
 /// Batch ids relative to `floor`, by shape: strictly rising inside the
 /// dense window (0), starting below the floor (1), running past the
 /// dense array (growth, 2), ending past the dense span limit (3), rising
-/// with repeats (4), and unsorted (5).
+/// with repeats (4), unsorted (5), and falling — the order a reorder
+/// buffer may release records in (6).
 fn batch_ids(shape: u8, floor: u64, gaps: &[u64]) -> Vec<u64> {
     let first = gaps.first().map_or(0, |&g| g);
     let rising = |start: u64, min_gap: u64| {
@@ -220,8 +226,43 @@ fn batch_ids(shape: u8, floor: u64, gaps: &[u64]) -> Vec<u64> {
             ids
         }
         4 => rising(floor + first, 0),
-        _ => gaps.iter().map(|&g| floor + g * 37 % 300).collect(),
+        5 => gaps.iter().map(|&g| floor + g * 37 % 300).collect(),
+        _ => {
+            let mut ids = rising(floor + first, 1);
+            ids.reverse();
+            ids
+        }
     }
+}
+
+/// An accumulator with its floor at `floor`, its dense array sized past
+/// every in-window id shape's reach, and the slots the `pre` script
+/// leaves: `(key − floor + 8, delta, op)` with op 0/1 = `accumulate`
+/// admitting or not, 2 = `add`, 3 = `zero`. Halfway through, a new epoch
+/// starts, so the earlier slots go stale.
+fn seeded_accumulator(floor: u64, pre: &[(u64, f64, u8)]) -> ScoreAccumulator {
+    let mut acc = ScoreAccumulator::new();
+    acc.advance_floor(floor);
+    acc.add(floor + 255, 0.5);
+    for (i, &(k, delta, op)) in pre.iter().enumerate() {
+        if i == pre.len() / 2 {
+            acc.clear();
+        }
+        let key = floor + k - 8; // a few keys below the floor
+        match op {
+            0 => {
+                acc.accumulate(key, delta, true);
+            }
+            1 => {
+                acc.accumulate(key, delta, false);
+            }
+            2 => {
+                acc.add(key, delta);
+            }
+            _ => acc.zero(key),
+        }
+    }
+    acc
 }
 
 /// The per-entry reference for `accumulate_batch_rev`: newest entry
@@ -267,23 +308,7 @@ proptest! {
         entries in proptest::collection::vec(
             (0u64..4, acc_delta(), any::<bool>(), acc_prune()), 64..=64),
     ) {
-        let mut sys = ScoreAccumulator::new();
-        sys.advance_floor(floor);
-        // Size the dense array past every in-window shape's reach.
-        sys.add(floor + 255, 0.5);
-        for (i, &(k, delta, op)) in pre.iter().enumerate() {
-            // Halfway, start a new epoch: earlier slots go stale.
-            if i == pre.len() / 2 {
-                sys.clear();
-            }
-            let key = floor + k - 8; // a few keys below the floor
-            match op {
-                0 => { sys.accumulate(key, delta, true); }
-                1 => { sys.accumulate(key, delta, false); }
-                2 => { sys.add(key, delta); }
-                _ => sys.zero(key),
-            }
-        }
+        let mut sys = seeded_accumulator(floor, &pre);
         let gaps: Vec<u64> = entries[..len].iter().map(|e| e.0).collect();
         let ids = batch_ids(shape, floor, &gaps);
         let deltas: Vec<f64> = entries[..len].iter().map(|e| e.1).collect();
@@ -299,6 +324,126 @@ proptest! {
             let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
             let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (k, v.to_bits())).collect();
             prop_assert_eq!(have, want, "pass {}", pass);
+        }
+    }
+}
+
+/// Serialises the tests that force the process-global kernel lane.
+static LANE: Mutex<()> = Mutex::new(());
+
+/// Holds [`LANE`] and restores automatic lane selection when dropped,
+/// also when the test fails.
+struct LaneGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl LaneGuard {
+    fn lock() -> Self {
+        // A failed sibling poisons the lock; it guards no data.
+        LaneGuard {
+            _lock: LANE.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
+}
+
+impl Drop for LaneGuard {
+    fn drop(&mut self) {
+        force_lane(None);
+    }
+}
+
+/// Gaps `now − t`: negative, inside the table, and past its last bin.
+fn l2_gap() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        1 => -5.0f64..0.0,
+        3 => 0.0f64..20.0,
+        1 => 20.0f64..100.0,
+    ]
+}
+
+/// The array route the list pass replaced: the batch kernel over
+/// newest-first chunks of 64, each replayed by `accumulate_batch_rev`.
+fn l2_batch_then_replay(
+    acc: &mut ScoreAccumulator,
+    postings: &[PackedPosting],
+    p: &L2BatchParams,
+    factors: &[f64],
+) -> u32 {
+    let (mut ids, mut deltas, mut prune, mut admit) = ([0u64; 64], [0.0; 64], [0.0; 64], [0u8; 64]);
+    let mut admitted = 0;
+    for chunk in postings.rchunks(64) {
+        let n = chunk.len();
+        l2_candidate_batch(
+            PackedPosting::as_words(chunk),
+            p,
+            factors,
+            &mut ids[..n],
+            &mut deltas[..n],
+            &mut prune[..n],
+            &mut admit[..n],
+        );
+        admitted += acc.accumulate_batch_rev(&ids[..n], &deltas[..n], &admit[..n], &prune[..n]);
+    }
+    admitted
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `accumulate_l2_list_rev` equals the batch kernel + chunk replay it
+    /// replaced — admitted count, touched set, touch order and every
+    /// score bit — on the scalar and the AVX2 lane, over list lengths
+    /// either side of the group of four and the chunk of 64, every id
+    /// shape (the AVX2 groups meet growth, spill, repeats inside a group
+    /// and falling ids), gaps before the first and past the last table
+    /// bin, and pre-existing stale, live, zeroed and negative slots.
+    #[test]
+    fn accumulator_l2_list_rev_matches_batch_then_replay(
+        floor in 10u64..1000,
+        pre in proptest::collection::vec((0u64..300, acc_delta(), 0u8..4), 0..60),
+        len in prop::sample::select(vec![0usize, 1, 3, 4, 5, 7, 8, 63, 64, 65, 130]),
+        shape in 0u8..7,
+        entries in proptest::collection::vec(
+            (0u64..4, acc_delta(), 0.0f64..1.0, l2_gap()), 130..=130),
+        factors in proptest::collection::vec(0.0f64..1.0, 1..12),
+        inv_step in 0.05f64..2.0,
+        xj in acc_delta(),
+        xnorm_before in 0.0f64..1.0,
+        rs2 in 0.0f64..1.5,
+        theta_slack in acc_prune(),
+    ) {
+        let _lane = LaneGuard::lock();
+        let start = seeded_accumulator(floor, &pre);
+        let now = 100.0;
+        let gaps: Vec<u64> = entries[..len].iter().map(|e| e.0).collect();
+        let postings: Vec<PackedPosting> = batch_ids(shape, floor, &gaps)
+            .into_iter()
+            .zip(&entries[..len])
+            .map(|(id, &(_, weight, prefix_norm, gap))| PackedPosting {
+                id,
+                weight,
+                prefix_norm,
+                t: now - gap,
+            })
+            .collect();
+        let p = L2BatchParams { xj, now, xnorm_before, rs2, theta_slack, inv_step };
+        force_lane(Some(Lane::Scalar));
+        let mut model = start.clone();
+        let want: Vec<u32> = (0..2)
+            .map(|_| l2_batch_then_replay(&mut model, &postings, &p, &factors))
+            .collect();
+        let want_state: Vec<(u64, u64)> = model.iter().map(|(k, v)| (k, v.to_bits())).collect();
+        for lane in [Lane::Scalar, Lane::Avx2] {
+            force_lane(Some(lane));
+            let mut sys = start.clone();
+            // Twice: the second pass meets the slots the first one touched.
+            let got: Vec<u32> = (0..2)
+                .map(|_| sys.accumulate_l2_list_rev(&postings, &p, &factors))
+                .collect();
+            prop_assert_eq!(&got, &want, "admitted on {:?}", lane);
+            prop_assert_eq!(sys.len(), model.len(), "{:?}", lane);
+            let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            prop_assert_eq!(&have, &want_state, "{:?}", lane);
         }
     }
 }

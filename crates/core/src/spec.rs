@@ -618,12 +618,6 @@ impl JoinSpec {
         self
     }
 
-    /// Appends a wrapper layer (outside any already present).
-    pub fn wrap(mut self, wrapper: WrapperSpec) -> Self {
-        self.wrappers.push(wrapper);
-        self
-    }
-
     /// The `(θ, λ)` pair as an [`SssjConfig`].
     pub fn config(&self) -> SssjConfig {
         SssjConfig::new(self.theta, self.lambda)

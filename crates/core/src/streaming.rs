@@ -16,11 +16,15 @@
 //!   `sssj_collections::posting`);
 //! * the candidate score array is a dense, epoch-stamped
 //!   [`ScoreAccumulator`] sliding over the live id window — O(1) reset,
-//!   no hashing; a posting chunk's ids are strictly rising, so
-//!   [`ScoreAccumulator::accumulate_batch_rev`] replays each full chunk
-//!   with one window check and no data-dependent jump, and falls back to
-//!   one fused probe per entry ([`ScoreAccumulator::accumulate`]) for
-//!   short or irregular chunks;
+//!   no hashing. STR-L2 walks each posting list once, newest first,
+//!   through [`ScoreAccumulator::accumulate_l2_list_rev`]: four postings
+//!   at a time it computes the decay bounds, deltas, admission flags and
+//!   prune thresholds and applies them to the score slots in the same
+//!   AVX2 registers, with no arrays in between. A time-ordered list's
+//!   ids rise, so each group of four lands in distinct slots, which is
+//!   what the vector step checks; a group that fails the check, the
+//!   oldest `n % 4` postings, short lists and non-AVX2 lanes take one
+//!   fused probe per entry ([`ScoreAccumulator::accumulate`]);
 //! * the decay factor `e^{-λΔt}` is read from a quantized upper-bound
 //!   [`DecayTable`] inside all *pruning* tests (safe: a larger factor
 //!   prunes less) and computed exactly only for the final similarity of
@@ -328,14 +332,12 @@ impl Streaming {
         let mhat_lambda = &self.mhat_lambda;
         let table = &self.table;
 
-        // Fixed-size scratch for the SIMD candidate-batch kernels: stack
-        // arrays, so the zero-allocation steady-state contract
+        // Fixed-size scratch for STR-INV's id/delta kernel: stack arrays,
+        // so the zero-allocation steady-state contract
         // (`tests/zero_alloc.rs`) holds with batching too.
         const BATCH: usize = 64;
         let mut b_ids = [0u64; BATCH];
         let mut b_deltas = [0.0f64; BATCH];
-        let mut b_prune = [0.0f64; BATCH];
-        let mut b_admit = [0u8; BATCH];
 
         for (dim, xj) in x.iter().rev() {
             if let Some(list) = lists.get_mut(dim as usize) {
@@ -361,14 +363,13 @@ impl Streaming {
                     let postings = list.postings();
                     stats.entries_traversed += postings.len() as u64;
                     if policy.l2 {
-                        // STR-L2, the paper's headline path. The SIMD
-                        // batch kernel evaluates decay bounds, score
-                        // deltas, admission flags and prune thresholds
-                        // for 64 postings at a time; the accumulator
-                        // replays them newest-first (`rchunks` + reverse
-                        // within each chunk ≡ the old `.iter().rev()`
-                        // walk), preserving first-touch — and thus
-                        // output — order. The early ℓ2 prune
+                        // STR-L2, the paper's headline path: one
+                        // newest-first pass over the list (≡ the old
+                        // `.iter().rev()` walk, so first-touch — and
+                        // thus output — order is preserved) computes
+                        // each posting's decay bound, score delta,
+                        // admission flag and prune threshold and applies
+                        // them to the accumulator. The early ℓ2 prune
                         // (Cauchy–Schwarz on the unscanned prefixes,
                         // decayed) is folded into the per-entry
                         // threshold `θₛ − ‖x′‖·pn·df`.
@@ -381,24 +382,8 @@ impl Streaming {
                                 theta_slack,
                                 inv_step,
                             };
-                            for chunk in postings.rchunks(BATCH) {
-                                let n = chunk.len();
-                                sssj_kernels::l2_candidate_batch(
-                                    PackedPosting::as_words(chunk),
-                                    &params,
-                                    factors,
-                                    &mut b_ids[..n],
-                                    &mut b_deltas[..n],
-                                    &mut b_prune[..n],
-                                    &mut b_admit[..n],
-                                );
-                                stats.candidates += acc.accumulate_batch_rev(
-                                    &b_ids[..n],
-                                    &b_deltas[..n],
-                                    &b_admit[..n],
-                                    &b_prune[..n],
-                                ) as u64;
-                            }
+                            stats.candidates +=
+                                acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
                         } else {
                             // Degenerate decay table (λ = 0 or infinite
                             // horizon): keep the exact per-entry form.

@@ -143,9 +143,20 @@ mod tests {
     use super::*;
     use crate::JoinSpec;
     use sssj_types::{vector::unit_vector, Timestamp};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that assert exact deltas of the global
+    /// counters: each one's records would otherwise land in the other's
+    /// window when the harness runs them on parallel threads.
+    static COUNTING: Mutex<()> = Mutex::new(());
+
+    fn counting_lock() -> MutexGuard<'static, ()> {
+        COUNTING.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn factory_counts_records_and_pairs_exactly() {
+        let _counting = counting_lock();
         let reg = Registry::global();
         if !sssj_metrics::telemetry_enabled() {
             return; // off lane, known once `global()` ran: nothing counts
@@ -171,6 +182,7 @@ mod tests {
 
     #[test]
     fn engine_shape_counters_flush_as_deltas() {
+        let _counting = counting_lock();
         let reg = Registry::global();
         if !sssj_metrics::telemetry_enabled() {
             return; // off lane, known once `global()` ran: nothing counts

@@ -18,7 +18,9 @@
 //!
 //! Tiers: scalar reference + AVX2 (the wins are the 4×4 posting
 //! transpose and the table gather, both 256-bit ideas; SSE4.1 falls back
-//! to scalar).
+//! to scalar). The STR-L2 kernel's two steps are public on their own —
+//! [`l2_candidate`] for one posting, [`avx2::l2_lanes`] for four — so a
+//! caller can apply the values where they are computed.
 
 use crate::dispatch::{active_lane, Lane};
 
@@ -67,6 +69,14 @@ fn check_batch(raw: &[u64], outs: &[usize]) -> usize {
 ///
 /// `raw` is the packed-posting word stream; outputs are parallel arrays
 /// of at least `raw.len()/4` entries. Gaps `now − t` must not be NaN.
+///
+/// STR-L2 no longer calls this on its hot path: it runs
+/// `ScoreAccumulator::accumulate_l2_list_rev`, which computes the same
+/// values four postings at a time ([`avx2::l2_lanes`]) and applies them
+/// in registers. This array form stays as that pass's test reference and
+/// as the benchmark ladder's micro entry point, so
+/// `kernels.l2_batch_ns_per_posting` times this kernel alone, not the
+/// engine's hot path.
 pub fn l2_candidate_batch(
     raw: &[u64],
     p: &L2BatchParams,
@@ -127,19 +137,53 @@ fn l2_candidate_batch_scalar(
     out_prune_below: &mut [f64],
     out_admit: &mut [u8],
 ) {
-    let max_idx = (factors.len() - 1) as f64;
     for i in from..to {
         let b = i * POSTING_WORDS;
-        let w = f64::from_bits(raw[b + POSTING_WEIGHT]);
-        let pn = f64::from_bits(raw[b + POSTING_PREFIX]);
-        let t = f64::from_bits(raw[b + POSTING_TIME]);
-        let dt = p.now - t;
-        let pos = (dt * p.inv_step).min(max_idx).max(0.0);
-        let df = factors[pos as usize];
+        let c = l2_candidate(
+            p,
+            factors,
+            f64::from_bits(raw[b + POSTING_WEIGHT]),
+            f64::from_bits(raw[b + POSTING_PREFIX]),
+            f64::from_bits(raw[b + POSTING_TIME]),
+        );
         out_ids[i] = raw[b + POSTING_ID];
-        out_deltas[i] = p.xj * w;
-        out_prune_below[i] = p.theta_slack - p.xnorm_before * pn * df;
-        out_admit[i] = (p.rs2 * df >= p.theta_slack) as u8;
+        out_deltas[i] = c.delta;
+        out_prune_below[i] = c.prune_below;
+        out_admit[i] = c.admit as u8;
+    }
+}
+
+/// What [`l2_candidate_batch`] computes for one posting.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct L2Candidate {
+    /// The score delta `xj·w`.
+    pub delta: f64,
+    /// The prune threshold `θₛ − ‖x₍<j₎‖·pn·df`.
+    pub prune_below: f64,
+    /// The admission flag `rs2·df ≥ θₛ`.
+    pub admit: bool,
+}
+
+/// The scalar reference of [`l2_candidate_batch`] for one posting of
+/// weight `weight`, prefix norm `prefix_norm` and arrival time `t`.
+/// Every lane of the batch kernel and of [`avx2::l2_lanes`] returns
+/// these bits.
+#[inline]
+pub fn l2_candidate(
+    p: &L2BatchParams,
+    factors: &[f64],
+    weight: f64,
+    prefix_norm: f64,
+    t: f64,
+) -> L2Candidate {
+    let max_idx = (factors.len() - 1) as f64;
+    let dt = p.now - t;
+    let pos = (dt * p.inv_step).min(max_idx).max(0.0);
+    let df = factors[pos as usize];
+    L2Candidate {
+        delta: p.xj * weight,
+        prune_below: p.theta_slack - p.xnorm_before * prefix_norm * df,
+        admit: p.rs2 * df >= p.theta_slack,
     }
 }
 
@@ -280,9 +324,98 @@ fn decay_upper_batch_scalar(
     }
 }
 
+/// The AVX2 building blocks of the batch kernels, public so that a
+/// caller can fuse the STR-L2 candidate computation with its own use of
+/// the results (`sssj_collections::ScoreAccumulator::accumulate_l2_list_rev`
+/// applies each group of four in registers instead of reading back
+/// [`l2_candidate_batch`]'s output arrays).
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+pub mod avx2 {
     use std::arch::x86_64::*;
+
+    use super::L2BatchParams;
+
+    /// The loop invariants of [`l2_lanes`], broadcast once per posting
+    /// list, and the decay table they index.
+    #[derive(Clone, Copy, Debug)]
+    pub struct L2Splat<'a> {
+        factors: &'a [f64],
+        max_idx: __m256d,
+        now: __m256d,
+        inv_step: __m256d,
+        xj: __m256d,
+        xnorm_before: __m256d,
+        rs2: __m256d,
+        theta_slack: __m256d,
+    }
+
+    impl<'a> L2Splat<'a> {
+        /// Broadcasts `p` and binds the quantized decay table `factors`
+        /// (non-empty, with `p.inv_step > 0`, as [`super::l2_candidate_batch`]
+        /// asserts).
+        ///
+        /// # Safety
+        ///
+        /// Outside code compiled for AVX2, the caller must have verified
+        /// `avx2`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn new(p: &L2BatchParams, factors: &'a [f64]) -> Self {
+            debug_assert!(!factors.is_empty() && p.inv_step > 0.0, "degenerate table");
+            L2Splat {
+                factors,
+                max_idx: _mm256_set1_pd((factors.len() - 1) as f64),
+                now: _mm256_set1_pd(p.now),
+                inv_step: _mm256_set1_pd(p.inv_step),
+                xj: _mm256_set1_pd(p.xj),
+                xnorm_before: _mm256_set1_pd(p.xnorm_before),
+                rs2: _mm256_set1_pd(p.rs2),
+                theta_slack: _mm256_set1_pd(p.theta_slack),
+            }
+        }
+    }
+
+    /// Postings `i..i+4` of a batch: lane `k` holds posting `i + k`.
+    #[derive(Clone, Copy, Debug)]
+    pub struct L2Lanes {
+        /// The posting ids, as 64-bit integers.
+        pub ids: __m256i,
+        /// The score deltas `xj·w`.
+        pub deltas: __m256d,
+        /// The prune thresholds `θₛ − ‖x₍<j₎‖·pn·df`.
+        pub prune_below: __m256d,
+        /// The admission flags `rs2·df ≥ θₛ`, as all-ones / all-zeros lanes.
+        pub admit: __m256d,
+    }
+
+    /// The STR-L2 candidate values of postings `i..i+4` of the packed
+    /// word stream `raw`: bit for bit what [`super::l2_candidate`]
+    /// returns for each (same operations, same order, no FMA).
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified `avx2`, that `raw` holds at least
+    /// `4·(i+4)` words, and that the table `s` was built from is not
+    /// empty (the lookup clamps every gap, NaN included, into its bins).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn l2_lanes(raw: &[u64], i: usize, s: &L2Splat<'_>) -> L2Lanes {
+        debug_assert!(raw.len() >= 4 * (i + 4) && !s.factors.is_empty());
+        let (ids, times, weights, pns) = transpose4(raw, i);
+        let dt = _mm256_sub_pd(s.now, times);
+        let pos = _mm256_mul_pd(dt, s.inv_step);
+        let df = gather_clamped(s.factors, pos, s.max_idx, _mm256_setzero_pd());
+        let pb = _mm256_sub_pd(
+            s.theta_slack,
+            _mm256_mul_pd(_mm256_mul_pd(s.xnorm_before, pns), df),
+        );
+        L2Lanes {
+            ids: _mm256_castpd_si256(ids),
+            deltas: _mm256_mul_pd(s.xj, weights),
+            prune_below: pb,
+            admit: _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_mul_pd(s.rs2, df), s.theta_slack),
+        }
+    }
 
     /// Loads postings `i..i+4` from the word stream and transposes them
     /// into `(ids, weights, prefix_norms, times)` column vectors. Pure
@@ -294,7 +427,7 @@ mod avx2 {
     /// `4·(i+4)` words.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn transpose4(raw: &[u64], i: usize) -> (__m256d, __m256d, __m256d, __m256d) {
+    pub(crate) unsafe fn transpose4(raw: &[u64], i: usize) -> (__m256d, __m256d, __m256d, __m256d) {
         let base = raw.as_ptr().add(4 * i) as *const f64;
         let r0 = _mm256_loadu_pd(base);
         let r1 = _mm256_loadu_pd(base.add(4));
@@ -320,7 +453,7 @@ mod avx2 {
     /// the value `max_idx` was built from.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_clamped(
+    pub(crate) unsafe fn gather_clamped(
         factors: &[f64],
         pos: __m256d,
         max_idx: __m256d,
@@ -333,7 +466,7 @@ mod avx2 {
 
     /// Splits an admission movemask into four 0/1 bytes.
     #[inline]
-    pub fn store_admit(out: &mut [u8], i: usize, mask: i32) {
+    pub(crate) fn store_admit(out: &mut [u8], i: usize, mask: i32) {
         let m = mask as u32;
         out[i] = (m & 1) as u8;
         out[i + 1] = ((m >> 1) & 1) as u8;
@@ -359,25 +492,14 @@ unsafe fn l2_candidate_batch_avx2(
 ) {
     use std::arch::x86_64::*;
     let n = raw.len() / POSTING_WORDS;
-    let max_idx = _mm256_set1_pd((factors.len() - 1) as f64);
-    let zero = _mm256_setzero_pd();
-    let nowv = _mm256_set1_pd(p.now);
-    let invs = _mm256_set1_pd(p.inv_step);
-    let xjv = _mm256_set1_pd(p.xj);
-    let xnbv = _mm256_set1_pd(p.xnorm_before);
-    let rs2v = _mm256_set1_pd(p.rs2);
-    let tsv = _mm256_set1_pd(p.theta_slack);
+    let splat = avx2::L2Splat::new(p, factors);
     let mut i = 0usize;
     while i + 4 <= n {
-        let (ids, times, weights, pns) = avx2::transpose4(raw, i);
-        let dt = _mm256_sub_pd(nowv, times);
-        let df = avx2::gather_clamped(factors, _mm256_mul_pd(dt, invs), max_idx, zero);
-        _mm256_storeu_pd(out_ids.as_mut_ptr().add(i) as *mut f64, ids);
-        _mm256_storeu_pd(out_deltas.as_mut_ptr().add(i), _mm256_mul_pd(xjv, weights));
-        let pb = _mm256_sub_pd(tsv, _mm256_mul_pd(_mm256_mul_pd(xnbv, pns), df));
-        _mm256_storeu_pd(out_prune_below.as_mut_ptr().add(i), pb);
-        let admit = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_mul_pd(rs2v, df), tsv);
-        avx2::store_admit(out_admit, i, _mm256_movemask_pd(admit));
+        let lanes = avx2::l2_lanes(raw, i, &splat);
+        _mm256_storeu_si256(out_ids.as_mut_ptr().add(i) as *mut __m256i, lanes.ids);
+        _mm256_storeu_pd(out_deltas.as_mut_ptr().add(i), lanes.deltas);
+        _mm256_storeu_pd(out_prune_below.as_mut_ptr().add(i), lanes.prune_below);
+        avx2::store_admit(out_admit, i, _mm256_movemask_pd(lanes.admit));
         i += 4;
     }
     l2_candidate_batch_scalar(
