@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Budget calibration helper for Table 2.
 //!
 //! Prints, for every framework × index at three grid corners, the peak

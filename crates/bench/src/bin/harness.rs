@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! The experiment harness: regenerates every table and figure of §7.
 //!
 //! ```sh

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! The experiment harness: reproduces every table and figure of §7.
 //!

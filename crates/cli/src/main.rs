@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `sssj` — the command-line tool, mirroring the paper's released code.
 //!
 //! ```sh

@@ -25,8 +25,9 @@
 //! [`ScoreAccumulator::accumulate_l2_list_rev`]: one newest-first pass
 //! over a time-ordered posting list that computes each posting's decay
 //! bound, score delta, prune threshold and admission flag four at a time
-//! in AVX2 registers (`sssj_kernels::avx2::l2_lanes`) and applies them to
-//! the score slots in the same registers — no intermediate arrays.
+//! in AVX2 registers (`sssj_kernels::avx2::l2_lanes`), or eight at a time
+//! in AVX-512 registers, and applies them to the score slots in the same
+//! registers — no intermediate arrays.
 //!
 //! A group of four is applied as one step: gather the four slots'
 //! scores and stamps, blend, then store the four lanes from the newest
@@ -43,10 +44,26 @@
 //! the spill table. Storing the lanes newest-first keeps `touched` in
 //! the order a per-entry walk would have touched the slots.
 //!
-//! The `n % 4` oldest postings, lists shorter than four and every lane
-//! but AVX2 take the per-entry rule with the scalar kernel formula
-//! (`sssj_kernels::l2_candidate`), which the vector form matches bit for
-//! bit.
+//! On the AVX-512 lane the same pass takes eight postings per step, and
+//! the mask registers let it store only what changes. The oldest group
+//! is masked to the `n % 8` postings left (masked loads touch no word
+//! past the list), so no group of four and no scalar tail remain. The
+//! per-entry rule becomes masks — `live`, `upd = live ∧ v > 0`, `adm =
+//! ¬upd ∧ admit`, `take = upd ∨ adm`, `fresh = take ∧ ¬live` — and each
+//! mask picks the lanes of one store: a masked scatter writes scores on
+//! `take` lanes only, another writes the epoch on `fresh` lanes only,
+//! and a compress-store appends the fresh offsets to `touched`. The AVX2
+//! step instead rewrites all four scores and stamps and writes every
+//! offset to `touched`, mostly with unchanged values. A compress-store
+//! packs lanes lowest first, i.e. oldest posting first; the lanes and
+//! the mask are reversed before it so that `touched` keeps the
+//! newest-first order of a per-entry walk. The distinctness rule is the
+//! one above, over the valid lanes only.
+//!
+//! The `n % 4` oldest postings of the AVX2 pass, lists shorter than four
+//! and the scalar and SSE4.1 lanes take the per-entry rule with the
+//! scalar kernel formula (`sssj_kernels::l2_candidate`), which both
+//! vector forms match bit for bit.
 //!
 //! # The chunk path
 //!
@@ -76,6 +93,15 @@ use sssj_kernels::L2BatchParams;
 use crate::PackedPosting;
 
 const EMPTY: u64 = u64::MAX;
+
+/// Whether `group`'s ids rise strictly and all lie in the dense window
+/// `[base, base + min(len, DENSE_SPAN_LIMIT))`: the condition under
+/// which the vector list passes apply a group in registers.
+fn rises_inside(group: &[PackedPosting], base: u64, len: usize) -> bool {
+    let limit = (len as u64).min(DENSE_SPAN_LIMIT);
+    group.windows(2).all(|w| w[0].id < w[1].id)
+        && group.iter().all(|q| q.id.wrapping_sub(base) < limit)
+}
 
 /// Result of [`ScoreAccumulator::accumulate`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -310,9 +336,20 @@ impl ScoreAccumulator {
         }
         assert!(!factors.is_empty() && p.inv_step > 0.0, "degenerate table");
         #[cfg(target_arch = "x86_64")]
-        if postings.len() >= 4 && sssj_kernels::active_lane() == sssj_kernels::Lane::Avx2 {
-            // SAFETY: `active_lane` reports AVX2 only when the CPU has it.
-            return unsafe { self.l2_list_avx2(postings, p, factors) };
+        if postings.len() >= 4 {
+            match sssj_kernels::active_lane() {
+                sssj_kernels::Lane::Avx512 => {
+                    // SAFETY: `active_lane` reports AVX-512 only when the
+                    // CPU has AVX-512 F, VL, AVX2 and POPCNT.
+                    return unsafe { self.l2_list_avx512(postings, p, factors) };
+                }
+                sssj_kernels::Lane::Avx2 => {
+                    // SAFETY: `active_lane` reports AVX2 only when the CPU
+                    // has it.
+                    return unsafe { self.l2_list_avx2(postings, p, factors) };
+                }
+                _ => {}
+            }
         }
         self.l2_entries_rev(postings, p, factors)
     }
@@ -470,6 +507,191 @@ impl ScoreAccumulator {
         // entry, plus one written offset per step that advanced `n`.
         unsafe { self.touched.set_len(n) };
         admitted + self.l2_entries_rev(&postings[..tail], p, factors)
+    }
+
+    /// The AVX-512 route of [`Self::accumulate_l2_list_rev`]: groups of
+    /// eight from the newest end, the oldest one masked to the `n % 8`
+    /// postings left, each applied in registers when its valid offsets
+    /// rise strictly inside the dense window and by
+    /// [`Self::l2_entries_rev`] otherwise. Only changed slots are stored:
+    /// scores on `take` lanes, stamps and `touched` on fresh lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl,avx2,popcnt")]
+    fn l2_list_avx512(
+        &mut self,
+        postings: &[PackedPosting],
+        p: &L2BatchParams,
+        factors: &[f64],
+    ) -> u32 {
+        use std::arch::x86_64::*;
+
+        let words = PackedPosting::as_words(postings).as_ptr() as *const f64;
+        let max_idx = _mm512_set1_pd((factors.len() - 1) as f64);
+        let now = _mm512_set1_pd(p.now);
+        let inv_step = _mm512_set1_pd(p.inv_step);
+        let xj = _mm512_set1_pd(p.xj);
+        let xnorm_before = _mm512_set1_pd(p.xnorm_before);
+        let rs2 = _mm512_set1_pd(p.rs2);
+        let theta_slack = _mm512_set1_pd(p.theta_slack);
+        let zero = _mm512_setzero_pd();
+        let epoch = _mm256_set1_epi32(self.epoch as i32);
+        let base = _mm512_set1_epi64(self.base as i64);
+        // A row holds two postings `[id, w, pn, t, id, w, pn, t]`; the
+        // first stage gathers four postings' `[id×4, w×4]` and `[pn×4,
+        // t×4]` from two rows, the second joins two such halves.
+        let id_w = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
+        let pn_t = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
+        let low4 = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+        let high4 = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+        let next = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 7);
+        let reverse = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+        // The dense window and its arrays; `l2_entries_rev` may grow them,
+        // so they are re-read after it runs.
+        let window = |acc: &mut Self| {
+            let len = acc.vals.len();
+            debug_assert_eq!(len, acc.stamps.len());
+            (
+                len,
+                _mm512_set1_epi64(len.min(DENSE_SPAN_LIMIT as usize) as i64),
+                acc.vals.as_mut_ptr(),
+                acc.stamps.as_mut_ptr(),
+            )
+        };
+        let (mut len, mut limit, mut vals, mut stamps) = window(self);
+        // As in `l2_list_avx2`: room for one touch per posting, so
+        // `touched` stays in place and its length lives in a register.
+        self.touched.reserve(postings.len());
+        let touched = self.touched.as_mut_ptr();
+        let mut n = self.touched.len();
+        let mut admitted = 0u32;
+        let mut end = postings.len();
+        while end > 0 {
+            let count = end.min(8);
+            let i = end - count;
+            end = i;
+            // Lane k holds posting i + k; lanes from `count` up are off.
+            let valid = (0xFF_u32 >> (8 - count)) as __mmask8;
+            let row_bits = u32::MAX >> (32 - 4 * count);
+            let src = words.wrapping_add(4 * i);
+            debug_assert!(i + count <= postings.len());
+            // SAFETY: row r reads words `4i + 8r + j` only for the mask
+            // bits j it keeps, and `row_bits` keeps exactly the `4·count`
+            // words of postings `i..i + count`, all inside `postings`;
+            // masked-off words are not accessed.
+            let (r0, r1, r2, r3) = unsafe {
+                (
+                    _mm512_maskz_loadu_pd(row_bits as __mmask8, src),
+                    _mm512_maskz_loadu_pd((row_bits >> 8) as __mmask8, src.wrapping_add(8)),
+                    _mm512_maskz_loadu_pd((row_bits >> 16) as __mmask8, src.wrapping_add(16)),
+                    _mm512_maskz_loadu_pd((row_bits >> 24) as __mmask8, src.wrapping_add(24)),
+                )
+            };
+            let a = _mm512_permutex2var_pd(r0, id_w, r1);
+            let b = _mm512_permutex2var_pd(r0, pn_t, r1);
+            let c = _mm512_permutex2var_pd(r2, id_w, r3);
+            let d = _mm512_permutex2var_pd(r2, pn_t, r3);
+            let ids = _mm512_castpd_si512(_mm512_permutex2var_pd(a, low4, c));
+            let weights = _mm512_permutex2var_pd(a, high4, c);
+            let pns = _mm512_permutex2var_pd(b, low4, d);
+            let times = _mm512_permutex2var_pd(b, high4, d);
+            let loaded = _mm512_or_si512(
+                _mm512_or_si512(ids, _mm512_castpd_si512(weights)),
+                _mm512_or_si512(_mm512_castpd_si512(pns), _mm512_castpd_si512(times)),
+            );
+            debug_assert_eq!(
+                _mm512_test_epi64_mask(loaded, loaded) & !valid,
+                0,
+                "masked-off postings load as zero"
+            );
+            // `sssj_kernels::l2_candidate`, operation for operation.
+            let pos = _mm512_mul_pd(_mm512_sub_pd(now, times), inv_step);
+            let bin = _mm512_cvttpd_epi32(_mm512_max_pd(_mm512_min_pd(pos, max_idx), zero));
+            // SAFETY: every lane of `bin` lies in `[0, factors.len())`:
+            // the clamp maps each position, NaN included, into `[0,
+            // max_idx]` before truncation.
+            let df = unsafe { _mm512_mask_i32gather_pd::<8>(zero, valid, bin, factors.as_ptr()) };
+            let pb = _mm512_sub_pd(
+                theta_slack,
+                _mm512_mul_pd(_mm512_mul_pd(xnorm_before, pns), df),
+            );
+            let delta = _mm512_mul_pd(xj, weights);
+            let admit =
+                _mm512_mask_cmp_pd_mask::<_CMP_GE_OQ>(valid, _mm512_mul_pd(rs2, df), theta_slack);
+
+            // The group qualifies when every valid offset lies in the
+            // window and the valid offsets rise strictly (distinct slots).
+            let offs = _mm512_sub_epi64(ids, base);
+            let inside = _mm512_mask_cmplt_epu64_mask(valid, offs, limit);
+            let rising = _mm512_mask_cmpgt_epi64_mask(
+                valid >> 1,
+                _mm512_permutexvar_epi64(next, offs),
+                offs,
+            );
+            let qualifies = inside == valid && rising == valid >> 1;
+            debug_assert_eq!(
+                qualifies,
+                rises_inside(&postings[i..i + count], self.base, len),
+                "the group test decides on the valid lanes alone"
+            );
+            if !qualifies {
+                // SAFETY: the first `n` elements are initialised, as at the
+                // end of the pass. The per-entry rule pushes at most
+                // `count` more, inside the reserve, so `touched` stays in
+                // place.
+                unsafe { self.touched.set_len(n) };
+                admitted += self.l2_entries_rev(&postings[i..i + count], p, factors);
+                n = self.touched.len();
+                (len, limit, vals, stamps) = window(self);
+                continue;
+            }
+            // SAFETY: every valid lane of `offs` lies in `[0, len)` (checked
+            // above, asserted there), `vals`/`stamps` hold `len` elements
+            // each, and masked-off lanes are not accessed.
+            let (v, st) = unsafe {
+                (
+                    _mm512_mask_i64gather_pd::<8>(zero, valid, offs, vals),
+                    _mm512_mask_i64gather_epi32::<4>(
+                        _mm256_setzero_si256(),
+                        valid,
+                        offs,
+                        stamps as *const i32,
+                    ),
+                )
+            };
+            // The per-entry rule of `accumulate` + `zero` as masks:
+            // upd = live ∧ v > 0; adm = ¬upd ∧ admit; take = upd ∨ adm;
+            // new = (live ? v : 0) + δ; kept = new < pb ? 0 : new.
+            let live = _mm256_mask_cmpeq_epi32_mask(valid, st, epoch);
+            let upd = _mm512_mask_cmp_pd_mask::<_CMP_GT_OQ>(live, v, zero);
+            let adm = !upd & admit;
+            let take = upd | adm;
+            let fresh = take & !live;
+            let new = _mm512_add_pd(_mm512_maskz_mov_pd(live, v), delta);
+            let kept = _mm512_maskz_mov_pd(!_mm512_cmp_pd_mask::<_CMP_LT_OQ>(new, pb), new);
+            admitted += adm.count_ones();
+            let offs32 = _mm512_cvtepi64_epi32(offs);
+            debug_assert!(n + count <= self.touched.capacity());
+            // SAFETY: the valid offsets lie in `[0, len)` and are distinct
+            // (checked above), so the scatters write inside `vals` and
+            // `stamps` in any order. The compress-store writes one
+            // element per fresh lane at `touched + n`, inside the reserve
+            // (one element per posting past the length at entry).
+            unsafe {
+                _mm512_mask_i64scatter_pd::<8>(vals, take, offs, kept);
+                _mm512_mask_i64scatter_epi32::<4>(stamps as *mut i32, fresh, offs, epoch);
+                // Newest posting first, the order a per-entry walk touches.
+                _mm256_mask_compressstoreu_epi32(
+                    touched.add(n) as *mut i32,
+                    fresh.reverse_bits(),
+                    _mm256_permutevar8x32_epi32(offs32, reverse),
+                );
+            }
+            n += fresh.count_ones() as usize;
+        }
+        // SAFETY: the first `n` elements are initialised: the length at
+        // entry, plus the offsets each step compress-stored.
+        unsafe { self.touched.set_len(n) };
+        admitted
     }
 
     /// The chunk fast path of [`Self::accumulate_batch_rev`], or `None`

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sssj_collections::{
     Accumulated, DecayedMaxVec, LinkedHashMap, PackedPosting, ScoreAccumulator,
 };
-use sssj_kernels::{force_lane, l2_candidate_batch, L2BatchParams, Lane};
+use sssj_kernels::{active_lane, force_lane, l2_candidate_batch, L2BatchParams, Lane};
 
 #[derive(Clone, Debug)]
 enum MapOp {
@@ -352,6 +352,20 @@ impl Drop for LaneGuard {
     }
 }
 
+/// Prints each kernel lane the list-pass model test runs on, once per
+/// process, so a run on a host without AVX-512 says what it covered.
+fn report_lane(lane: Lane) {
+    static SEEN: Mutex<Vec<Lane>> = Mutex::new(Vec::new());
+    let mut seen = SEEN.lock().unwrap_or_else(|e| e.into_inner());
+    if !seen.contains(&lane) {
+        seen.push(lane);
+        eprintln!(
+            "accumulator_l2_list_rev_matches_batch_then_replay: ran on {}",
+            lane.name()
+        );
+    }
+}
+
 /// Gaps `now − t`: negative, inside the table, and past its last bin.
 fn l2_gap() -> impl Strategy<Value = f64> {
     prop_oneof![
@@ -392,16 +406,19 @@ proptest! {
 
     /// `accumulate_l2_list_rev` equals the batch kernel + chunk replay it
     /// replaced — admitted count, touched set, touch order and every
-    /// score bit — on the scalar and the AVX2 lane, over list lengths
-    /// either side of the group of four and the chunk of 64, every id
-    /// shape (the AVX2 groups meet growth, spill, repeats inside a group
-    /// and falling ids), gaps before the first and past the last table
-    /// bin, and pre-existing stale, live, zeroed and negative slots.
+    /// score bit — on the scalar, AVX2 and AVX-512 lanes the host has,
+    /// over list lengths either side of the groups of four and eight
+    /// (full groups, a masked oldest group) and the chunk of 64, every
+    /// id shape (the vector groups meet growth, spill, repeats inside a
+    /// group and falling ids, so a masked group can fall back to the
+    /// per-entry rule too), gaps before the first and past the last
+    /// table bin, and pre-existing stale, live, zeroed and negative
+    /// slots.
     #[test]
     fn accumulator_l2_list_rev_matches_batch_then_replay(
         floor in 10u64..1000,
         pre in proptest::collection::vec((0u64..300, acc_delta(), 0u8..4), 0..60),
-        len in prop::sample::select(vec![0usize, 1, 3, 4, 5, 7, 8, 63, 64, 65, 130]),
+        len in prop::sample::select(vec![0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 63, 64, 65, 130]),
         shape in 0u8..7,
         entries in proptest::collection::vec(
             (0u64..4, acc_delta(), 0.0f64..1.0, l2_gap()), 130..=130),
@@ -433,8 +450,13 @@ proptest! {
             .map(|_| l2_batch_then_replay(&mut model, &postings, &p, &factors))
             .collect();
         let want_state: Vec<(u64, u64)> = model.iter().map(|(k, v)| (k, v.to_bits())).collect();
-        for lane in [Lane::Scalar, Lane::Avx2] {
+        for lane in [Lane::Scalar, Lane::Avx2, Lane::Avx512] {
             force_lane(Some(lane));
+            if active_lane() != lane {
+                // Above the hardware maximum: the forced lane was clamped.
+                continue;
+            }
+            report_lane(lane);
             let mut sys = start.clone();
             // Twice: the second pass meets the slots the first one touched.
             let got: Vec<u32> = (0..2)

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Streaming similarity self-join (SSSJ) — the core contribution of the
 //! paper.

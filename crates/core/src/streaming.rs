@@ -17,14 +17,17 @@
 //! * the candidate score array is a dense, epoch-stamped
 //!   [`ScoreAccumulator`] sliding over the live id window — O(1) reset,
 //!   no hashing. STR-L2 walks each posting list once, newest first,
-//!   through [`ScoreAccumulator::accumulate_l2_list_rev`]: four postings
-//!   at a time it computes the decay bounds, deltas, admission flags and
-//!   prune thresholds and applies them to the score slots in the same
-//!   AVX2 registers, with no arrays in between. A time-ordered list's
-//!   ids rise, so each group of four lands in distinct slots, which is
-//!   what the vector step checks; a group that fails the check, the
-//!   oldest `n % 4` postings, short lists and non-AVX2 lanes take one
-//!   fused probe per entry ([`ScoreAccumulator::accumulate`]);
+//!   through [`ScoreAccumulator::accumulate_l2_list_rev`]: eight postings
+//!   at a time on AVX-512 (four on AVX2) it computes the decay bounds,
+//!   deltas, admission flags and prune thresholds and applies them to
+//!   the score slots in the same registers, with no arrays in between;
+//!   on AVX-512 masked scatters and a compress-store write only the
+//!   slots that change, and the oldest group is masked to the postings
+//!   left. A time-ordered list's ids rise, so each group lands in
+//!   distinct slots, which is what the vector step checks; a group that
+//!   fails the check, the AVX2 pass's oldest `n % 4` postings, lists
+//!   shorter than four and the scalar lanes take one fused probe per
+//!   entry ([`ScoreAccumulator::accumulate`]);
 //! * the decay factor `e^{-λΔt}` is read from a quantized upper-bound
 //!   [`DecayTable`] inside all *pruning* tests (safe: a larger factor
 //!   prunes less) and computed exactly only for the final similarity of

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Dataset substrate for the streaming similarity self-join.
 //!

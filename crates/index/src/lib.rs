@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Batch all-pairs similarity search (APSS) — the filtering framework of
 //! §5 of the paper.

@@ -99,7 +99,7 @@ pub fn l2_candidate_batch(
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; lengths checked.
-        Lane::Avx2 => unsafe {
+        Lane::Avx2 | Lane::Avx512 => unsafe {
             l2_candidate_batch_avx2(
                 raw,
                 p,
@@ -216,7 +216,7 @@ pub fn candidate_batch_with_df(
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; lengths checked.
-        Lane::Avx2 => unsafe {
+        Lane::Avx2 | Lane::Avx512 => unsafe {
             candidate_batch_with_df_avx2(
                 raw,
                 dfs,
@@ -273,7 +273,7 @@ pub fn posting_products(raw: &[u64], xj: f64, out_ids: &mut [u64], out_deltas: &
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; lengths checked.
-        Lane::Avx2 => unsafe { posting_products_avx2(raw, xj, out_ids, out_deltas) },
+        Lane::Avx2 | Lane::Avx512 => unsafe { posting_products_avx2(raw, xj, out_ids, out_deltas) },
         _ => posting_products_scalar(0, n, raw, xj, out_ids, out_deltas),
     }
 }
@@ -304,7 +304,7 @@ pub fn decay_upper_batch(dts: &[f64], inv_step: f64, factors: &[f64], out: &mut 
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; lengths checked.
-        Lane::Avx2 => unsafe { decay_upper_batch_avx2(dts, inv_step, factors, out) },
+        Lane::Avx2 | Lane::Avx512 => unsafe { decay_upper_batch_avx2(dts, inv_step, factors, out) },
         _ => decay_upper_batch_scalar(0, dts.len(), dts, inv_step, factors, out),
     }
 }

@@ -16,6 +16,12 @@ pub enum Lane {
     Sse41 = 2,
     /// AVX2: 256-bit `f64` arithmetic and gathers.
     Avx2 = 3,
+    /// AVX-512 F + VL (with AVX2 and POPCNT): 512-bit lanes with mask
+    /// registers, masked scatters and compress-stores. Only STR-L2's list pass
+    /// (`sssj_collections::ScoreAccumulator::accumulate_l2_list_rev`)
+    /// has a body of its own here; every kernel of this crate runs its
+    /// AVX2 body on this lane.
+    Avx512 = 4,
 }
 
 impl Lane {
@@ -24,6 +30,7 @@ impl Lane {
             1 => Some(Lane::Scalar),
             2 => Some(Lane::Sse41),
             3 => Some(Lane::Avx2),
+            4 => Some(Lane::Avx512),
             _ => None,
         }
     }
@@ -34,6 +41,7 @@ impl Lane {
             Lane::Scalar => "scalar",
             Lane::Sse41 => "sse4.1",
             Lane::Avx2 => "avx2",
+            Lane::Avx512 => "avx512",
         }
     }
 }
@@ -47,6 +55,17 @@ fn hardware_max() -> Lane {
     *HW.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
+            // std's probe also checks that the OS saves the wider state.
+            // The lane runs the AVX2 bodies of every other kernel and
+            // counts mask bits with POPCNT, so it needs both (every
+            // AVX-512 CPU has them).
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+                && std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("popcnt")
+            {
+                return Lane::Avx512;
+            }
             if std::arch::is_x86_feature_detected!("avx2") {
                 return Lane::Avx2;
             }
@@ -58,35 +77,44 @@ fn hardware_max() -> Lane {
     })
 }
 
+/// The lane an `SSSJ_KERNELS` value asks for, or `None` for `auto`.
+/// Unknown values fall through to auto rather than aborting: a typo in
+/// CI must not silently change *correctness*, and every lane computes
+/// the same answers.
+fn parse_lane(value: &str) -> Option<Lane> {
+    match value {
+        "scalar" => Some(Lane::Scalar),
+        "sse4.1" | "sse41" => Some(Lane::Sse41),
+        "avx2" => Some(Lane::Avx2),
+        "avx512" => Some(Lane::Avx512),
+        _ => None,
+    }
+}
+
+/// The lane an `SSSJ_KERNELS` value selects: the requested lane clamped
+/// to the hardware maximum, or the hardware maximum itself.
+fn resolve(value: Option<&str>) -> Lane {
+    match value.and_then(parse_lane) {
+        Some(lane) => lane.min(hardware_max()),
+        None => hardware_max(),
+    }
+}
+
 /// The lane selected by the environment (or the hardware maximum when no
 /// variable is set). Read once; [`force_lane`] exists because this cache
 /// makes later `set_var` calls invisible.
 fn detected() -> Lane {
     static DETECTED: OnceLock<Lane> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        let requested = match std::env::var("SSSJ_KERNELS").as_deref() {
-            Ok("scalar") => Some(Lane::Scalar),
-            Ok("sse4.1") | Ok("sse41") => Some(Lane::Sse41),
-            Ok("avx2") => Some(Lane::Avx2),
-            // Unknown values fall through to auto rather than aborting:
-            // a typo in CI must not silently change *correctness*, and
-            // every lane computes the same answers.
-            _ => None,
-        };
-        match requested {
-            Some(lane) => lane.min(hardware_max()),
-            None => hardware_max(),
-        }
-    })
+    *DETECTED.get_or_init(|| resolve(std::env::var("SSSJ_KERNELS").ok().as_deref()))
 }
 
 /// The lane kernels will dispatch to right now.
 ///
 /// Resolution order: [`force_lane`] override, then the `SSSJ_KERNELS`
-/// environment variable (`scalar` | `sse4.1` | `avx2` | `auto`), then
-/// the widest lane the CPU supports. Requests are clamped to the
-/// hardware maximum, so asking for `avx2` on an SSE-only machine
-/// degrades rather than faulting.
+/// environment variable (`scalar` | `sse4.1` | `avx2` | `avx512` |
+/// `auto`), then the widest lane the CPU supports. Requests are clamped
+/// to the hardware maximum, so asking for `avx512` on an AVX2-only
+/// machine degrades rather than faulting.
 #[inline]
 pub fn active_lane() -> Lane {
     match Lane::from_u8(FORCED.load(Ordering::Relaxed)) {
@@ -127,6 +155,7 @@ mod tests {
     fn lanes_are_ordered() {
         assert!(Lane::Scalar < Lane::Sse41);
         assert!(Lane::Sse41 < Lane::Avx2);
+        assert!(Lane::Avx2 < Lane::Avx512);
     }
 
     #[test]
@@ -142,15 +171,33 @@ mod tests {
     #[test]
     fn forced_lane_is_clamped_to_hardware() {
         let _lane = lane_lock();
-        force_lane(Some(Lane::Avx2));
-        assert!(active_lane() <= super::hardware_max());
+        for lane in [Lane::Avx2, Lane::Avx512] {
+            force_lane(Some(lane));
+            assert_eq!(active_lane(), lane.min(super::hardware_max()));
+        }
         force_lane(None);
     }
 
     #[test]
     fn names_roundtrip() {
-        for lane in [Lane::Scalar, Lane::Sse41, Lane::Avx2] {
+        for lane in [Lane::Scalar, Lane::Sse41, Lane::Avx2, Lane::Avx512] {
             assert!(!lane.name().is_empty());
+            assert_eq!(Lane::from_u8(lane as u8), Some(lane));
+            assert_eq!(parse_lane(lane.name()), Some(lane));
         }
+        assert_eq!(Lane::Avx512.name(), "avx512");
+        assert_eq!(parse_lane("sse41"), Some(Lane::Sse41));
+        assert_eq!(parse_lane("auto"), None);
+    }
+
+    #[test]
+    fn environment_requests_are_clamped_to_hardware() {
+        let hw = super::hardware_max();
+        assert_eq!(resolve(Some("avx512")), Lane::Avx512.min(hw));
+        assert_eq!(resolve(Some("avx2")), Lane::Avx2.min(hw));
+        assert_eq!(resolve(Some("scalar")), Lane::Scalar);
+        assert_eq!(resolve(Some("auto")), hw);
+        assert_eq!(resolve(Some("avx1024")), hw);
+        assert_eq!(resolve(None), hw);
     }
 }

@@ -23,7 +23,7 @@ pub fn dot_merge(ad: &[u32], aw: &[f64], bd: &[u32], bw: &[f64]) -> f64 {
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature.
-        Lane::Avx2 => unsafe { dot_merge_avx2(ad, aw, bd, bw) },
+        Lane::Avx2 | Lane::Avx512 => unsafe { dot_merge_avx2(ad, aw, bd, bw) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature.
         Lane::Sse41 => unsafe { dot_merge_sse41(ad, aw, bd, bw) },
@@ -50,7 +50,7 @@ pub fn dot_probe(sd: &[u32], sw: &[f64], ld: &[u32], lw: &[f64]) -> f64 {
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature.
-        Lane::Avx2 => unsafe { dot_probe_avx2(sd, sw, ld, lw) },
+        Lane::Avx2 | Lane::Avx512 => unsafe { dot_probe_avx2(sd, sw, ld, lw) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature.
         Lane::Sse41 => unsafe { dot_probe_sse41(sd, sw, ld, lw) },
@@ -72,7 +72,7 @@ pub fn dot_dense(ad: &[u32], aw: &[f64], dense: &[f64]) -> f64 {
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature.
-        Lane::Avx2 => unsafe { dot_dense_avx2(ad, aw, dense) },
+        Lane::Avx2 | Lane::Avx512 => unsafe { dot_dense_avx2(ad, aw, dense) },
         _ => dot_dense_scalar(ad, aw, dense),
     }
 }

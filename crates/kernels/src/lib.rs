@@ -18,14 +18,17 @@
 //!
 //! 1. an in-process [`force_lane`] override, if set (benchmark A/B);
 //! 2. the `SSSJ_KERNELS` environment variable — `scalar`, `sse4.1`,
-//!    `avx2`, or `auto`, read once;
+//!    `avx2`, `avx512`, or `auto`, read once;
 //! 3. otherwise the widest lane the CPU reports via
-//!    `is_x86_feature_detected!`.
+//!    `is_x86_feature_detected!` (`avx512` needs AVX-512 F and VL).
 //!
 //! Requests are clamped to the hardware maximum, and any kernel without
 //! an implementation at the selected lane silently uses the next lower
-//! one (e.g. the batch kernels are AVX2-or-scalar). On non-x86-64
-//! targets everything is scalar and the SIMD modules compile away.
+//! one (e.g. the batch kernels are AVX2-or-scalar). Every kernel of this
+//! crate runs its AVX2 body on the `avx512` lane; the one AVX-512 body
+//! is STR-L2's list pass in `sssj_collections`, which dispatches on the
+//! same [`Lane`]. On non-x86-64 targets everything is scalar and the
+//! SIMD modules compile away.
 //!
 //! # Tolerance contract
 //!

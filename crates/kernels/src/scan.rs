@@ -31,7 +31,9 @@ pub fn partition_time_strided(words: &[u64], stride: usize, offset: usize, cutof
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; layout checked.
-        Lane::Avx2 => unsafe { partition_time_avx2(words, stride, offset, cutoff, n) },
+        Lane::Avx2 | Lane::Avx512 => unsafe {
+            partition_time_avx2(words, stride, offset, cutoff, n)
+        },
         _ => partition_time_scalar(words, stride, offset, cutoff, 0, n),
     }
 }
@@ -78,7 +80,9 @@ pub fn select_ge_strided(
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; lengths checked.
-        Lane::Avx2 => unsafe { select_ge_avx2(words, stride, offset, min, out_idx, n) },
+        Lane::Avx2 | Lane::Avx512 => unsafe {
+            select_ge_avx2(words, stride, offset, min, out_idx, n)
+        },
         _ => select_ge_scalar(words, stride, offset, min, out_idx, 0, n, 0),
     }
 }

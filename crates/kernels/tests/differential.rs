@@ -14,7 +14,7 @@ use std::sync::Mutex;
 /// Serializes sections that flip the process-global lane override.
 static LANE_LOCK: Mutex<()> = Mutex::new(());
 
-const LANES: [Lane; 3] = [Lane::Scalar, Lane::Sse41, Lane::Avx2];
+const LANES: [Lane; 4] = [Lane::Scalar, Lane::Sse41, Lane::Avx2, Lane::Avx512];
 
 /// Runs `f` once per lane (clamped to hardware) and returns the results
 /// keyed by the requested lane; always restores auto dispatch.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Approximate streaming similarity self-join via SimHash LSH.
 //!

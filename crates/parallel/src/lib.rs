@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Sharded multi-threaded execution of the streaming similarity self-join,
 //! with dimension-partitioned, candidate-aware routing.
