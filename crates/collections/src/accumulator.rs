@@ -21,11 +21,12 @@
 //!
 //! # The list pass
 //!
-//! STR-L2 spends most of a dense record in
-//! [`ScoreAccumulator::accumulate_l2_list_rev`]: one newest-first pass
-//! over a time-ordered posting list that computes each posting's decay
-//! bound, score delta, prune threshold and admission flag four at a time
-//! in AVX2 registers (`sssj_kernels::avx2::l2_lanes`), or eight at a time
+//! STR-L2 and the decay engine (`sssj_core::DecayStreaming`) spend most
+//! of a dense record in [`ScoreAccumulator::accumulate_l2_list_rev`]:
+//! one newest-first pass over a time-ordered posting list that computes
+//! each posting's decay bound (from the engine's quantized decay table),
+//! score delta, prune threshold and admission flag four at a time in
+//! AVX2 registers (`sssj_kernels::avx2::l2_lanes`), or eight at a time
 //! in AVX-512 registers, and applies them to the score slots in the same
 //! registers — no intermediate arrays.
 //!
@@ -64,29 +65,6 @@
 //! and the scalar and SSE4.1 lanes take the per-entry rule with the
 //! scalar kernel formula (`sssj_kernels::l2_candidate`), which both
 //! vector forms match bit for bit.
-//!
-//! # The chunk path
-//!
-//! The decay engine replays kernel-prepared chunks of up to 64 postings
-//! through [`ScoreAccumulator::accumulate_batch_rev`] (its decay factors
-//! come from the decay model per posting, not from a table, so the list
-//! pass does not serve it). A time-ordered posting list holds its ids in
-//! arrival order, so a chunk's ids are strictly rising and land in
-//! distinct slots; once a chunk is checked to be that — at least 8
-//! entries, all inside the allocated dense window — the per-entry
-//! branches (live? positive? admit? prune?) become masks with
-//! unconditional stores. Short, unsorted, repeated or out-of-window
-//! chunks, and targets other than x86-64, keep the per-entry loop; both
-//! paths produce the same touch order, scores (bit for bit) and
-//! admitted count.
-//!
-//! The score blend runs in SSE2 registers (`_mm_and_pd`, `_mm_cmplt_sd`,
-//! `_mm_andnot_pd`) rather than as `f64` bit masks in plain Rust: rustc
-//! 1.95 compiles the plain-Rust blend back into two data-dependent jumps
-//! per entry (`je` on the live-slot select, `jbe` on the prune compare).
-//! In registers the loop keeps no jump but its bounds checks and back
-//! edge (`objdump -d --no-show-raw-insn` shows both forms). SSE2 is part
-//! of the x86-64 baseline, so there is no runtime dispatch.
 
 use sssj_kernels::L2BatchParams;
 
@@ -255,46 +233,8 @@ impl ScoreAccumulator {
         }
     }
 
-    /// Applies one kernel-prepared candidate batch, newest entry first.
-    ///
-    /// The SIMD batch kernels (`sssj_kernels::l2_candidate_batch`)
-    /// evaluate a posting chunk into parallel arrays — ids, score
-    /// deltas, admission flags and per-entry prune thresholds; this
-    /// method replays them through [`Self::accumulate`] in *reverse*
-    /// (the engines walk posting lists newest-first, and chunks arrive
-    /// via `rchunks`, so reverse order inside each chunk reproduces the
-    /// exact per-entry traversal of the scalar loop). A touched entry
-    /// whose new score falls below its prune threshold is zeroed on the
-    /// spot — Algorithm 3's candidate pruning. Returns how many entries
-    /// were newly admitted. Chunks of rising ids inside the dense window
-    /// take a jump-free replay with the identical result (see
-    /// [the chunk path](self#the-chunk-path)).
-    pub fn accumulate_batch_rev(
-        &mut self,
-        ids: &[u64],
-        deltas: &[f64],
-        admit: &[u8],
-        prune_below: &[f64],
-    ) -> u32 {
-        debug_assert!(
-            ids.len() == deltas.len() && ids.len() == admit.len() && ids.len() == prune_below.len()
-        );
-        // SAFETY: SSE2 is part of the x86-64 baseline; every x86-64 CPU
-        // has the one target feature `replay_distinct_rev` enables.
-        #[cfg(target_arch = "x86_64")]
-        if let Some(admitted) = unsafe { self.replay_distinct_rev(ids, deltas, admit, prune_below) }
-        {
-            return admitted;
-        }
-        let mut admitted = 0u32;
-        for i in (0..ids.len()).rev() {
-            admitted += self.accumulate_pruned(ids[i], deltas[i], admit[i] != 0, prune_below[i]);
-        }
-        admitted
-    }
-
-    /// The per-entry rule of the batch replays: [`Self::accumulate`],
-    /// then [`Self::zero`] when the new score falls below `prune_below`
+    /// The per-entry rule of the list pass: [`Self::accumulate`], then
+    /// [`Self::zero`] when the new score falls below `prune_below`
     /// (Algorithm 3's candidate pruning). Returns 1 when the entry was
     /// newly admitted, else 0.
     #[inline]
@@ -314,17 +254,17 @@ impl ScoreAccumulator {
     /// newest posting first: for each posting, the decay upper bound
     /// from the quantized table `factors`, the score delta `xj·w`, the
     /// prune threshold `θₛ − ‖x′‖·pn·df` and the admission flag
-    /// `rs2·df ≥ θₛ` (`sssj_kernels::l2_candidate`), applied at once
-    /// by the per-entry rule of [`Self::accumulate_batch_rev`]. Returns
-    /// how many postings were newly admitted.
+    /// `rs2·df ≥ θₛ` (`sssj_kernels::l2_candidate`), applied at once by
+    /// [`Self::accumulate`] and, below the threshold, [`Self::zero`].
+    /// Returns how many postings were newly admitted.
     ///
     /// Equal — admitted count, touch order, every score bit — to
-    /// `sssj_kernels::l2_candidate_batch` over `rchunks(64)` followed by
-    /// [`Self::accumulate_batch_rev`] on each chunk, without the arrays
-    /// between them (see [the list pass](self#the-list-pass)). Like the
-    /// batch kernel it needs a non-degenerate table (non-empty
-    /// `factors`, `p.inv_step > 0`) and gaps `p.now − t` that are not
-    /// NaN.
+    /// `sssj_kernels::l2_candidate_batch` over the list followed by that
+    /// per-entry rule newest first, without the arrays between them (see
+    /// [the list pass](self#the-list-pass)). Like the batch kernel it
+    /// needs a non-empty table with `p.inv_step > 0` (every
+    /// `sssj_types::DecayTable` is one) and gaps `p.now − t` that are
+    /// not NaN.
     pub fn accumulate_l2_list_rev(
         &mut self,
         postings: &[PackedPosting],
@@ -334,7 +274,10 @@ impl ScoreAccumulator {
         if postings.is_empty() {
             return 0;
         }
-        assert!(!factors.is_empty() && p.inv_step > 0.0, "degenerate table");
+        assert!(
+            !factors.is_empty() && p.inv_step > 0.0,
+            "malformed decay table"
+        );
         #[cfg(target_arch = "x86_64")]
         if postings.len() >= 4 {
             match sssj_kernels::active_lane() {
@@ -694,79 +637,9 @@ impl ScoreAccumulator {
         admitted
     }
 
-    /// The chunk fast path of [`Self::accumulate_batch_rev`], or `None`
-    /// (nothing touched) when the chunk does not qualify: it needs at
-    /// least 8 entries and strictly rising ids — so the first and last id
-    /// bound the chunk, and every entry owns a distinct slot — that all
-    /// lie inside the allocated dense window (no growth, no spill).
-    ///
-    /// The replay is then the per-entry rule of [`Self::accumulate`] +
-    /// [`Self::zero`] as mask arithmetic with unconditional stores: the
-    /// slot state becomes integer masks, the score blend runs in SSE2
-    /// registers, and `touched` takes every offset but only advances
-    /// past a fresh slot. No jump depends on the data.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    fn replay_distinct_rev(
-        &mut self,
-        ids: &[u64],
-        deltas: &[f64],
-        admit: &[u8],
-        prune_below: &[f64],
-    ) -> Option<u32> {
-        use std::arch::x86_64::{
-            __m128d, _mm_add_sd, _mm_and_pd, _mm_andnot_pd, _mm_castsi128_pd, _mm_cmplt_sd,
-            _mm_cvtsd_f64, _mm_cvtsi64_si128, _mm_or_pd, _mm_set_sd,
-        };
-        let n = ids.len();
-        let window = self.vals.len().min(DENSE_SPAN_LIMIT as usize) as u64;
-        if n < 8
-            || ids[0] < self.base
-            || ids[n - 1].wrapping_sub(self.base) >= window
-            || !ids.windows(2).all(|w| w[0] < w[1])
-        {
-            return None;
-        }
-        let mask = |on: bool| -> __m128d { _mm_castsi128_pd(_mm_cvtsi64_si128(-(on as i64))) };
-        let (base, epoch) = (self.base, self.epoch);
-        let start = self.touched.len();
-        self.touched.resize(start + n, 0);
-        // Slices, not fields: their pointers and lengths stay in registers
-        // across the stores below.
-        let vals = &mut self.vals[..];
-        let stamps = &mut self.stamps[..vals.len()];
-        let touched = &mut self.touched[start..];
-        let mut fresh = 0;
-        let mut admitted = 0u32;
-        for i in (0..n).rev() {
-            let off = (ids[i] - base) as usize;
-            let stamp = stamps[off];
-            let v = vals[off];
-            let live = stamp == epoch;
-            let upd = live & (v > 0.0);
-            let adm = !upd & (admit[i] != 0);
-            let take = upd | adm;
-            // cur = live ? v : 0; new = cur + δ; kept = new < prune ? 0 : new;
-            // store take ? kept : v.
-            let old = _mm_set_sd(v);
-            let new = _mm_add_sd(_mm_and_pd(old, mask(live)), _mm_set_sd(deltas[i]));
-            let kept = _mm_andnot_pd(_mm_cmplt_sd(new, _mm_set_sd(prune_below[i])), new);
-            let take_m = mask(take);
-            let out = _mm_or_pd(_mm_and_pd(take_m, kept), _mm_andnot_pd(take_m, old));
-            vals[off] = _mm_cvtsd_f64(out);
-            stamps[off] = stamp ^ ((stamp ^ epoch) & (take as u32).wrapping_neg());
-            touched[fresh] = off as u32;
-            fresh += (take & !live) as usize;
-            admitted += adm as u32;
-        }
-        self.touched.truncate(start + fresh);
-        Some(admitted)
-    }
-
-    /// The unconditional-admission variant of [`Self::accumulate_batch_rev`]
-    /// (the INV index admits every touched candidate and never prunes
-    /// mid-scan). Returns how many entries were newly admitted.
+    /// Applies kernel-prepared ids and score deltas newest entry first,
+    /// admitting every touched candidate and never pruning (the INV
+    /// index's rule). Returns how many entries were newly admitted.
     pub fn accumulate_all_rev(&mut self, ids: &[u64], deltas: &[f64]) -> u32 {
         debug_assert_eq!(ids.len(), deltas.len());
         let mut admitted = 0u32;
@@ -1135,47 +1008,6 @@ mod tests {
         fused.zero(5);
         assert_eq!(fused.accumulate(5, 1.0, false), Accumulated::Skipped);
         assert_eq!(fused.accumulate(5, 1.0, true), Accumulated::Admitted(1.0));
-    }
-
-    #[test]
-    fn batch_rev_replays_the_scalar_traversal() {
-        // The batch is applied newest-first (reverse index order) with
-        // per-entry pruning; the oracle is the open-coded loop the
-        // engines used before the kernels.
-        let ids: Vec<u64> = vec![3, 9, 3, 11, 7, 9, 2];
-        let deltas = [0.4, 0.2, 0.5, 0.1, 0.6, -0.3, 0.2];
-        let admit = [1u8, 0, 1, 1, 0, 1, 1];
-        let prune = [0.3, 0.25, 0.45, 0.5, 0.1, 0.0, 0.15];
-        let mut batch = ScoreAccumulator::new();
-        batch.accumulate(9, 0.9, true); // pre-existing live candidate
-        let mut scalar = ScoreAccumulator::new();
-        scalar.accumulate(9, 0.9, true);
-        let mut want_admitted = 0;
-        for i in (0..ids.len()).rev() {
-            let new = match scalar.accumulate(ids[i], deltas[i], admit[i] != 0) {
-                Accumulated::Updated(new) => new,
-                Accumulated::Admitted(new) => {
-                    want_admitted += 1;
-                    new
-                }
-                Accumulated::Skipped => continue,
-            };
-            if new < prune[i] {
-                scalar.zero(ids[i]);
-            }
-        }
-        let got = batch.accumulate_batch_rev(&ids, &deltas, &admit, &prune);
-        assert_eq!(got, want_admitted);
-        let mut want: Vec<(u64, f64)> = scalar.iter().collect();
-        let mut have: Vec<(u64, f64)> = batch.iter().collect();
-        want.sort_by_key(|&(k, _)| k);
-        have.sort_by_key(|&(k, _)| k);
-        assert_eq!(have.len(), want.len());
-        for ((ka, va), (kb, vb)) in have.iter().zip(&want) {
-            assert_eq!(ka, kb);
-            assert_eq!(va.to_bits(), vb.to_bits(), "key {ka}");
-        }
-        assert!(got >= 1, "the script admits at least one entry");
     }
 
     #[test]

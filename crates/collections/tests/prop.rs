@@ -265,9 +265,9 @@ fn seeded_accumulator(floor: u64, pre: &[(u64, f64, u8)]) -> ScoreAccumulator {
     acc
 }
 
-/// The per-entry reference for `accumulate_batch_rev`: newest entry
-/// first, `accumulate` then `zero` when the new score falls below the
-/// entry's threshold.
+/// The per-entry rule of the list pass over kernel-prepared arrays:
+/// newest entry first, `accumulate` then `zero` when the new score falls
+/// below the entry's threshold.
 fn batch_rev_reference(
     acc: &mut ScoreAccumulator,
     ids: &[u64],
@@ -290,42 +290,6 @@ fn batch_rev_reference(
         }
     }
     admitted
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// `accumulate_batch_rev` equals its per-entry reference bit for bit —
-    /// admitted count, touched set, touch order and every score — over
-    /// batch lengths either side of any chunk-size cut-off, every id
-    /// shape, and pre-existing stale, live, zeroed and negative slots.
-    #[test]
-    fn accumulator_batch_rev_matches_per_entry_model(
-        floor in 10u64..1000,
-        pre in proptest::collection::vec((0u64..300, acc_delta(), 0u8..4), 0..60),
-        len in prop::sample::select(vec![0usize, 1, 7, 8, 9, 63, 64]),
-        shape in 0u8..6,
-        entries in proptest::collection::vec(
-            (0u64..4, acc_delta(), any::<bool>(), acc_prune()), 64..=64),
-    ) {
-        let mut sys = seeded_accumulator(floor, &pre);
-        let gaps: Vec<u64> = entries[..len].iter().map(|e| e.0).collect();
-        let ids = batch_ids(shape, floor, &gaps);
-        let deltas: Vec<f64> = entries[..len].iter().map(|e| e.1).collect();
-        let admit: Vec<u8> = entries[..len].iter().map(|e| e.2 as u8).collect();
-        let prune: Vec<f64> = entries[..len].iter().map(|e| e.3).collect();
-        let mut model = sys.clone();
-        // Twice: the second pass meets the slots the first one touched.
-        for pass in 0..2 {
-            let got = sys.accumulate_batch_rev(&ids, &deltas, &admit, &prune);
-            let want = batch_rev_reference(&mut model, &ids, &deltas, &admit, &prune);
-            prop_assert_eq!(got, want, "admitted, pass {}", pass);
-            prop_assert_eq!(sys.len(), model.len());
-            let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
-            let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (k, v.to_bits())).collect();
-            prop_assert_eq!(have, want, "pass {}", pass);
-        }
-    }
 }
 
 /// Serialises the tests that force the process-global kernel lane.
@@ -375,8 +339,8 @@ fn l2_gap() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// The array route the list pass replaced: the batch kernel over
-/// newest-first chunks of 64, each replayed by `accumulate_batch_rev`.
+/// The list pass's reference: the batch kernel over newest-first chunks
+/// of 64, each replayed entry by entry by [`batch_rev_reference`].
 fn l2_batch_then_replay(
     acc: &mut ScoreAccumulator,
     postings: &[PackedPosting],
@@ -396,7 +360,7 @@ fn l2_batch_then_replay(
             &mut prune[..n],
             &mut admit[..n],
         );
-        admitted += acc.accumulate_batch_rev(&ids[..n], &deltas[..n], &admit[..n], &prune[..n]);
+        admitted += batch_rev_reference(acc, &ids[..n], &deltas[..n], &admit[..n], &prune[..n]);
     }
     admitted
 }
@@ -404,16 +368,18 @@ fn l2_batch_then_replay(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `accumulate_l2_list_rev` equals the batch kernel + chunk replay it
-    /// replaced — admitted count, touched set, touch order and every
+    /// `accumulate_l2_list_rev` equals the batch kernel + per-entry
+    /// replay — admitted count, touched set, touch order and every
     /// score bit — on the scalar, AVX2 and AVX-512 lanes the host has,
     /// over list lengths either side of the groups of four and eight
     /// (full groups, a masked oldest group) and the chunk of 64, every
     /// id shape (the vector groups meet growth, spill, repeats inside a
     /// group and falling ids, so a masked group can fall back to the
     /// per-entry rule too), gaps before the first and past the last
-    /// table bin, and pre-existing stale, live, zeroed and negative
-    /// slots.
+    /// table bin, one-bin tables, and pre-existing stale, live, zeroed
+    /// and negative slots. An `rs2` of `−∞` (the decay engine's
+    /// window-max veto) must admit nothing on any lane against a finite
+    /// threshold, `−∞·0 = NaN` from a zero factor included.
     #[test]
     fn accumulator_l2_list_rev_matches_batch_then_replay(
         floor in 10u64..1000,
@@ -422,11 +388,11 @@ proptest! {
         shape in 0u8..7,
         entries in proptest::collection::vec(
             (0u64..4, acc_delta(), 0.0f64..1.0, l2_gap()), 130..=130),
-        factors in proptest::collection::vec(0.0f64..1.0, 1..12),
+        factors in proptest::collection::vec(prop_oneof![5 => 0.0f64..1.0, 1 => Just(0.0)], 1..12),
         inv_step in 0.05f64..2.0,
         xj in acc_delta(),
         xnorm_before in 0.0f64..1.0,
-        rs2 in 0.0f64..1.5,
+        rs2 in prop_oneof![4 => 0.0f64..1.5, 1 => Just(f64::NEG_INFINITY)],
         theta_slack in acc_prune(),
     ) {
         let _lane = LaneGuard::lock();
@@ -463,6 +429,9 @@ proptest! {
                 .map(|_| sys.accumulate_l2_list_rev(&postings, &p, &factors))
                 .collect();
             prop_assert_eq!(&got, &want, "admitted on {:?}", lane);
+            if rs2 == f64::NEG_INFINITY && theta_slack.is_finite() {
+                prop_assert_eq!(&got, &vec![0, 0], "vetoed admissions on {:?}", lane);
+            }
             prop_assert_eq!(sys.len(), model.len(), "{:?}", lane);
             let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
             prop_assert_eq!(&have, &want_state, "{:?}", lane);

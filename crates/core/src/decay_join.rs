@@ -7,11 +7,13 @@
 //!
 //! * **index construction** — the `b2 = ‖x′‖` bound is decay-free
 //!   (index-time decay pruning is never applied, §6.2) and unchanged;
-//! * **candidate generation** — `rs2` and `l2bound` multiply by
-//!   `f(Δt) ≤ 1` exactly as the exponential did; time filtering truncates
-//!   at the model's horizon `τ(θ)`;
+//! * **candidate generation** — `rs2` and `l2bound` multiply by an upper
+//!   bound on `f(Δt) ≤ 1` read from the model's [`DecayTable`], exactly
+//!   as the exponential does with its own table, so the join runs STR-L2's
+//!   list pass ([`ScoreAccumulator::accumulate_l2_list_rev`]); time
+//!   filtering truncates at the model's horizon `τ(θ)`;
 //! * **candidate verification** — `ps1` and the final exact check use
-//!   `f(Δt)` directly.
+//!   the exact `f(Δt)`, once per surviving candidate.
 //!
 //! The only exponential-specific machinery is the lazily-decayed maximum
 //! `m̂λ` (semigroup property); the generic join optionally replaces it with
@@ -19,12 +21,10 @@
 //! `dot(x, y) ≤ Σ_j x_j·max_window(j)` holds for any in-horizon `y`, so
 //! `remscore = min(rs1w, rs2·f(Δt))` stays a safe upper bound.
 
-use sssj_collections::{
-    LinkedHashMap, PackedPosting, PostingBlock, ScoreAccumulator, WindowedMaxVec,
-};
-use sssj_kernels::{candidate_batch_with_df, L2BatchParams};
+use sssj_collections::{LinkedHashMap, PostingBlock, ScoreAccumulator, WindowedMaxVec};
+use sssj_kernels::L2BatchParams;
 use sssj_metrics::JoinStats;
-use sssj_types::{dot, DecayModel, SimilarPair, SparseVector, StreamRecord, VectorId};
+use sssj_types::{dot, DecayModel, DecayTable, SimilarPair, SparseVector, StreamRecord, VectorId};
 
 use crate::algorithm::{ShardableJoin, StreamJoin};
 use crate::streaming::horizon_cutoff;
@@ -63,6 +63,8 @@ pub struct DecayStreaming {
     theta: f64,
     model: DecayModel,
     tau: f64,
+    /// Quantized upper bounds on the model's factor (pruning only).
+    table: DecayTable,
     /// Optional window-max candidate bound (`rs1w`), ablatable.
     window_max: Option<WindowedMaxVec>,
     /// Flat, time-ordered posting lists — the same single-allocation
@@ -105,6 +107,7 @@ impl DecayStreaming {
             theta,
             model,
             tau,
+            table: DecayTable::new(model, tau),
             window_max: use_window_max.then(|| WindowedMaxVec::new(tau.max(f64::MIN_POSITIVE))),
             lists: Vec::new(),
             residual: LinkedHashMap::new(),
@@ -142,14 +145,13 @@ impl DecayStreaming {
 
     /// Candidate generation: reverse-order dimension scan over the flat,
     /// time-ordered posting blocks (no re-indexing exists without AP
-    /// bounds), exactly the exponential hot path with `model.factor`
-    /// substituted for the decay table.
+    /// bounds), exactly the exponential hot path with the model's decay
+    /// table in place of the exponential's.
     fn candidate_generation(&mut self, x: &SparseVector, now: f64) {
         // The accumulator was cleared by `process` (before the dense
         // window slid); no further reset is needed here.
         let theta_slack = self.theta - PRUNE_EPS;
         let cutoff = horizon_cutoff(now, self.tau);
-        let model = self.model;
 
         // rs1w = Σ_j x_j · max over the window of coordinate j, shrunk as
         // the scan passes each dimension (mirrors rs1 of Algorithm 7).
@@ -164,15 +166,7 @@ impl DecayStreaming {
         let acc = &mut self.acc;
         let stats = &mut self.stats;
         let live = &mut self.live_postings;
-
-        // Stack scratch for the batched candidate kernel (see the
-        // exponential hot path in `streaming.rs` for the layout).
-        const BATCH: usize = 64;
-        let mut b_dfs = [0.0f64; BATCH];
-        let mut b_ids = [0u64; BATCH];
-        let mut b_deltas = [0.0f64; BATCH];
-        let mut b_prune = [0.0f64; BATCH];
-        let mut b_admit = [0u8; BATCH];
+        let (factors, inv_step) = self.table.lookup();
 
         for (dim, xj) in x.iter().rev() {
             if let Some(list) = lists.get_mut(dim as usize) {
@@ -190,13 +184,10 @@ impl DecayStreaming {
                 }
                 let postings = list.postings();
                 stats.entries_traversed += postings.len() as u64;
-                // Newest-first batched walk (`rchunks` + reverse replay
-                // in the accumulator ≡ the previous backward scan). The
-                // model's exact transcendental fills a per-chunk factor
-                // buffer; the SIMD kernel fuses deltas, admission and
-                // the ℓ2 prune threshold. The window-max conjunct
-                // `min(rs1w, rs2·df) ≥ θₛ ⟺ rs1w ≥ θₛ ∧ rs2·df ≥ θₛ`
-                // folds into the kernel by vetoing with `rs2 = −∞`.
+                // STR-L2's list pass, newest posting first, with the
+                // model's decay table for the bound. The window-max
+                // conjunct `min(rs1w, rs2·df) ≥ θₛ ⟺ rs1w ≥ θₛ ∧ rs2·df ≥
+                // θₛ` folds into the pass by vetoing with `rs2 = −∞`.
                 let rs2_eff = if rs1w >= theta_slack {
                     rs2
                 } else {
@@ -208,29 +199,9 @@ impl DecayStreaming {
                     xnorm_before,
                     rs2: rs2_eff,
                     theta_slack,
-                    inv_step: 1.0,
+                    inv_step,
                 };
-                for chunk in postings.rchunks(BATCH) {
-                    let n = chunk.len();
-                    for (df, p) in b_dfs[..n].iter_mut().zip(chunk) {
-                        *df = model.factor(now - p.t);
-                    }
-                    candidate_batch_with_df(
-                        PackedPosting::as_words(chunk),
-                        &b_dfs[..n],
-                        &params,
-                        &mut b_ids[..n],
-                        &mut b_deltas[..n],
-                        &mut b_prune[..n],
-                        &mut b_admit[..n],
-                    );
-                    stats.candidates += acc.accumulate_batch_rev(
-                        &b_ids[..n],
-                        &b_deltas[..n],
-                        &b_admit[..n],
-                        &b_prune[..n],
-                    ) as u64;
-                }
+                stats.candidates += acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
             }
             if let Some(wm) = &mut self.window_max {
                 if rs1w.is_finite() {

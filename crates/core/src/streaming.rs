@@ -42,8 +42,7 @@
 //!   (asserted by `tests/zero_alloc.rs`).
 
 use sssj_collections::{
-    Accumulated, DecayedMaxVec, LinkedHashMap, MaxVector, PackedPosting, PostingBlock,
-    ScoreAccumulator,
+    DecayedMaxVec, LinkedHashMap, MaxVector, PackedPosting, PostingBlock, ScoreAccumulator,
 };
 use sssj_kernels::L2BatchParams;
 use sssj_metrics::JoinStats;
@@ -211,7 +210,7 @@ impl Streaming {
             kind,
             policy,
             decay,
-            table: DecayTable::new(decay, tau),
+            table: DecayTable::new(decay.into(), tau),
             tau,
             time_ordered: !policy.ap,
             lists: Vec::new(),
@@ -376,36 +375,17 @@ impl Streaming {
                         // (Cauchy–Schwarz on the unscanned prefixes,
                         // decayed) is folded into the per-entry
                         // threshold `θₛ − ‖x′‖·pn·df`.
-                        if let Some((factors, inv_step)) = table.lookup() {
-                            let params = L2BatchParams {
-                                xj,
-                                now,
-                                xnorm_before,
-                                rs2,
-                                theta_slack,
-                                inv_step,
-                            };
-                            stats.candidates +=
-                                acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
-                        } else {
-                            // Degenerate decay table (λ = 0 or infinite
-                            // horizon): keep the exact per-entry form.
-                            for p in postings.iter().rev() {
-                                let df = table.upper(now - p.t);
-                                let admit = rs2 * df >= theta_slack;
-                                let new = match acc.accumulate(p.id, xj * p.weight, admit) {
-                                    Accumulated::Updated(new) => new,
-                                    Accumulated::Admitted(new) => {
-                                        stats.candidates += 1;
-                                        new
-                                    }
-                                    Accumulated::Skipped => continue,
-                                };
-                                if new + xnorm_before * p.prefix_norm * df < theta_slack {
-                                    acc.zero(p.id);
-                                }
-                            }
-                        }
+                        let (factors, inv_step) = table.lookup();
+                        let params = L2BatchParams {
+                            xj,
+                            now,
+                            xnorm_before,
+                            rs2,
+                            theta_slack,
+                            inv_step,
+                        };
+                        stats.candidates +=
+                            acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
                     } else {
                         // STR-INV: no pruning bounds — accumulate all,
                         // batched through the id/delta kernel.

@@ -8,8 +8,8 @@
 //! plus a digest over the sorted pair ids). A change that moves any of
 //! them is a behaviour change, not a speed-up.
 //!
-//! The literals hold on both kernel lanes (run the suite once more with
-//! `SSSJ_KERNELS=scalar`). Similarity *bits* are deliberately left out of
+//! The literals hold on every kernel lane (run the suite once more with
+//! `SSSJ_KERNELS=avx2` and with `SSSJ_KERNELS=scalar`). Similarity *bits* are deliberately left out of
 //! the digest: the residual dot product sums in a lane-specific order, so
 //! the last bit of a reported score may differ between lanes. When a
 //! change is *meant* to move a count — a tighter bound, say — the failure
@@ -85,7 +85,16 @@ fn golden_counts_dense() {
         ("str-inv?theta=0.5&lambda=0.001",  (6273077, 1195241, 1195241, 86026)),
         ("str-l2ap?theta=0.5&lambda=0.001", (3906631,  591407,   66341, 69445)),
         ("mb-l2?theta=0.5&lambda=0.001",    (3926178,  595208,  185683, 69535)),
-        ("decay?theta=0.5&model=exp:0.001", (3928460,  605351,   76850, 69558)),
+        ("decay?theta=0.5&model=exp:0.001", (3928460,  605390,   76937, 69558)),
+    ]);
+    // Each decay model has its own pair set, so each gets its own block.
+    #[rustfmt::skip]
+    check(&records, (9633, 0x88a1_59ca_3142_1773), &[
+        ("decay?theta=0.5&model=linear:1000",  (3925163,  592337,   72368, 69558)),
+    ]);
+    #[rustfmt::skip]
+    check(&records, (1882, 0x9d8b_ca84_f9fb_8038), &[
+        ("decay?theta=0.5&model=poly:1.5:200", (1599195,  210464,   16783, 69558)),
     ]);
 }
 
@@ -100,6 +109,14 @@ fn golden_counts_tweets() {
         ("str-inv?theta=0.5&lambda=0.07",   (  95236,   70814,   70814, 150763)),
         ("str-l2ap?theta=0.5&lambda=0.07",  ( 155248,    5445,    1110, 124036)),
         ("mb-l2?theta=0.5&lambda=0.07",     (  81928,   51132,   10127, 125028)),
-        ("decay?theta=0.5&model=exp:0.07",  (  55683,    9536,    1601, 125564)),
+        ("decay?theta=0.5&model=exp:0.07",  (  55683,    9542,    1601, 125564)),
+    ]);
+    #[rustfmt::skip]
+    check(&records, (818, 0x28a5_36df_8eb9_ec29), &[
+        ("decay?theta=0.5&model=linear:20",    (  56280,   10695,    1847, 125564)),
+    ]);
+    #[rustfmt::skip]
+    check(&records, (778, 0x928d_2585_5b4b_c98c), &[
+        ("decay?theta=0.5&model=poly:1.5:20",  (  65895,   11391,    1805, 125564)),
     ]);
 }

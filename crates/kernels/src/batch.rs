@@ -45,12 +45,15 @@ pub struct L2BatchParams {
     pub now: f64,
     /// `‖x‖` of the query prefix *before* this dimension.
     pub xnorm_before: f64,
-    /// The query's remaining-suffix norm on this dimension.
+    /// The query's remaining-suffix norm on this dimension. `-∞` vetoes
+    /// admission wholesale: `-∞·df ≥ θₛ` is false for every `df ≥ 0`
+    /// (including the `NaN` from `-∞·0`, which compares false under both
+    /// scalar `>=` and the ordered SIMD predicate).
     pub rs2: f64,
     /// `θ − ε`: the admission/prune threshold with safety slack.
     pub theta_slack: f64,
-    /// `1/step` of the quantized decay table (must be positive — callers
-    /// handle degenerate tables on the exact scalar path).
+    /// `1/step` of the quantized decay table (positive; a one-bin table
+    /// uses 1).
     pub inv_step: f64,
 }
 
@@ -70,13 +73,13 @@ fn check_batch(raw: &[u64], outs: &[usize]) -> usize {
 /// `raw` is the packed-posting word stream; outputs are parallel arrays
 /// of at least `raw.len()/4` entries. Gaps `now − t` must not be NaN.
 ///
-/// STR-L2 no longer calls this on its hot path: it runs
+/// No engine calls this: STR-L2 and the decay engine run
 /// `ScoreAccumulator::accumulate_l2_list_rev`, which computes the same
-/// values four postings at a time ([`avx2::l2_lanes`]) and applies them
-/// in registers. This array form stays as that pass's test reference and
-/// as the benchmark ladder's micro entry point, so
-/// `kernels.l2_batch_ns_per_posting` times this kernel alone, not the
-/// engine's hot path.
+/// values four postings at a time ([`avx2::l2_lanes`]) or eight at a
+/// time on AVX-512, and applies them in registers. This array form stays
+/// as that pass's test reference and as the benchmark ladder's micro
+/// entry point, so `kernels.l2_batch_ns_per_posting` times this kernel
+/// alone, not the engines' hot path.
 pub fn l2_candidate_batch(
     raw: &[u64],
     p: &L2BatchParams,
@@ -95,7 +98,10 @@ pub fn l2_candidate_batch(
             out_admit.len(),
         ],
     );
-    assert!(!factors.is_empty() && p.inv_step > 0.0, "degenerate table");
+    assert!(
+        !factors.is_empty() && p.inv_step > 0.0,
+        "malformed decay table"
+    );
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; lengths checked.
@@ -187,85 +193,6 @@ pub fn l2_candidate(
     }
 }
 
-/// Like [`l2_candidate_batch`] but with per-posting decay factors `dfs`
-/// supplied by the caller (the generic decay-model path computes them
-/// with an exact transcendental; the kernel vectorizes the rest).
-///
-/// `rs2` may be `-∞` to veto admission wholesale: `-∞·df ≥ θₛ` is false
-/// for every `df ≥ 0` (including the `NaN` from `-∞·0`, which compares
-/// false under both scalar `>=` and the ordered SIMD predicate).
-pub fn candidate_batch_with_df(
-    raw: &[u64],
-    dfs: &[f64],
-    p: &L2BatchParams,
-    out_ids: &mut [u64],
-    out_deltas: &mut [f64],
-    out_prune_below: &mut [f64],
-    out_admit: &mut [u8],
-) {
-    let n = check_batch(
-        raw,
-        &[
-            dfs.len(),
-            out_ids.len(),
-            out_deltas.len(),
-            out_prune_below.len(),
-            out_admit.len(),
-        ],
-    );
-    match active_lane() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: lane selection verified the feature; lengths checked.
-        Lane::Avx2 | Lane::Avx512 => unsafe {
-            candidate_batch_with_df_avx2(
-                raw,
-                dfs,
-                p,
-                out_ids,
-                out_deltas,
-                out_prune_below,
-                out_admit,
-            )
-        },
-        _ => candidate_batch_with_df_scalar(
-            0,
-            n,
-            raw,
-            dfs,
-            p,
-            out_ids,
-            out_deltas,
-            out_prune_below,
-            out_admit,
-        ),
-    }
-}
-
-/// Scalar reference for [`candidate_batch_with_df`] over `[from, to)`.
-#[allow(clippy::too_many_arguments)]
-fn candidate_batch_with_df_scalar(
-    from: usize,
-    to: usize,
-    raw: &[u64],
-    dfs: &[f64],
-    p: &L2BatchParams,
-    out_ids: &mut [u64],
-    out_deltas: &mut [f64],
-    out_prune_below: &mut [f64],
-    out_admit: &mut [u8],
-) {
-    for i in from..to {
-        let b = i * POSTING_WORDS;
-        let w = f64::from_bits(raw[b + POSTING_WEIGHT]);
-        let pn = f64::from_bits(raw[b + POSTING_PREFIX]);
-        let df = dfs[i];
-        out_ids[i] = raw[b + POSTING_ID];
-        out_deltas[i] = p.xj * w;
-        out_prune_below[i] = p.theta_slack - p.xnorm_before * pn * df;
-        out_admit[i] = (p.rs2 * df >= p.theta_slack) as u8;
-    }
-}
-
 /// The INV-index batch: ids and score deltas `xj·w` only (no norms, no
 /// admission — INV admits every touched candidate).
 pub fn posting_products(raw: &[u64], xj: f64, out_ids: &mut [u64], out_deltas: &mut [f64]) {
@@ -294,13 +221,16 @@ fn posting_products_scalar(
 }
 
 /// Batched quantized decay bound: `out[i] = factors[clamp(dts[i]·inv_step)]`,
-/// the vector form of `DecayTable::upper`. Requires a non-degenerate
-/// table (`inv_step > 0`) and non-NaN gaps; negative gaps saturate to
+/// the vector form of `DecayTable::upper`. Requires a non-empty table
+/// with `inv_step > 0` (every `DecayTable` is one) and non-NaN gaps; negative gaps saturate to
 /// bin 0 and over-horizon gaps clamp to the last bin, exactly like the
 /// scalar table.
 pub fn decay_upper_batch(dts: &[f64], inv_step: f64, factors: &[f64], out: &mut [f64]) {
     assert!(out.len() >= dts.len());
-    assert!(!factors.is_empty() && inv_step > 0.0, "degenerate table");
+    assert!(
+        !factors.is_empty() && inv_step > 0.0,
+        "malformed decay table"
+    );
     match active_lane() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: lane selection verified the feature; lengths checked.
@@ -361,7 +291,10 @@ pub mod avx2 {
         #[inline]
         #[target_feature(enable = "avx2")]
         pub fn new(p: &L2BatchParams, factors: &'a [f64]) -> Self {
-            debug_assert!(!factors.is_empty() && p.inv_step > 0.0, "degenerate table");
+            debug_assert!(
+                !factors.is_empty() && p.inv_step > 0.0,
+                "malformed decay table"
+            );
             L2Splat {
                 factors,
                 max_idx: _mm256_set1_pd((factors.len() - 1) as f64),
@@ -508,52 +441,6 @@ unsafe fn l2_candidate_batch_avx2(
         raw,
         p,
         factors,
-        out_ids,
-        out_deltas,
-        out_prune_below,
-        out_admit,
-    );
-}
-
-/// # Safety
-///
-/// Caller must have verified `avx2` and output lengths ≥ `raw.len()/4`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn candidate_batch_with_df_avx2(
-    raw: &[u64],
-    dfs: &[f64],
-    p: &L2BatchParams,
-    out_ids: &mut [u64],
-    out_deltas: &mut [f64],
-    out_prune_below: &mut [f64],
-    out_admit: &mut [u8],
-) {
-    use std::arch::x86_64::*;
-    let n = raw.len() / POSTING_WORDS;
-    let xjv = _mm256_set1_pd(p.xj);
-    let xnbv = _mm256_set1_pd(p.xnorm_before);
-    let rs2v = _mm256_set1_pd(p.rs2);
-    let tsv = _mm256_set1_pd(p.theta_slack);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let (ids, _times, weights, pns) = avx2::transpose4(raw, i);
-        let df = _mm256_loadu_pd(dfs.as_ptr().add(i));
-        _mm256_storeu_pd(out_ids.as_mut_ptr().add(i) as *mut f64, ids);
-        _mm256_storeu_pd(out_deltas.as_mut_ptr().add(i), _mm256_mul_pd(xjv, weights));
-        let pb = _mm256_sub_pd(tsv, _mm256_mul_pd(_mm256_mul_pd(xnbv, pns), df));
-        _mm256_storeu_pd(out_prune_below.as_mut_ptr().add(i), pb);
-        let admit = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_mul_pd(rs2v, df), tsv);
-        avx2::store_admit(out_admit, i, _mm256_movemask_pd(admit));
-        i += 4;
-    }
-    candidate_batch_with_df_scalar(
-        i,
-        n,
-        raw,
-        dfs,
-        p,
         out_ids,
         out_deltas,
         out_prune_below,

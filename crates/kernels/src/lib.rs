@@ -69,9 +69,8 @@ mod scan;
 #[cfg(target_arch = "x86_64")]
 pub use batch::avx2;
 pub use batch::{
-    candidate_batch_with_df, decay_upper_batch, l2_candidate, l2_candidate_batch, posting_products,
-    L2BatchParams, L2Candidate, POSTING_ID, POSTING_PREFIX, POSTING_TIME, POSTING_WEIGHT,
-    POSTING_WORDS,
+    decay_upper_batch, l2_candidate, l2_candidate_batch, posting_products, L2BatchParams,
+    L2Candidate, POSTING_ID, POSTING_PREFIX, POSTING_TIME, POSTING_WEIGHT, POSTING_WORDS,
 };
 pub use dispatch::{active_lane, force_lane, Lane};
 pub use dot::{dot_dense, dot_merge, dot_probe};

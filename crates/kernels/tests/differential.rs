@@ -5,9 +5,9 @@
 use proptest::collection::vec;
 use proptest::proptest;
 use sssj_kernels::{
-    candidate_batch_with_df, decay_upper_batch, dot_dense, dot_merge, dot_probe, force_lane,
-    l2_candidate_batch, partition_time_strided, posting_products, reference, select_ge_strided,
-    L2BatchParams, Lane, POSTING_WORDS,
+    decay_upper_batch, dot_dense, dot_merge, dot_probe, force_lane, l2_candidate_batch,
+    partition_time_strided, posting_products, reference, select_ge_strided, L2BatchParams, Lane,
+    POSTING_WORDS,
 };
 use std::sync::Mutex;
 
@@ -113,34 +113,6 @@ proptest! {
             let mut prune = vec![0.0f64; n];
             let mut admit = vec![0u8; n];
             l2_candidate_batch(&raw, &p, &factors, &mut ids, &mut deltas, &mut prune, &mut admit);
-            (ids, deltas, prune, admit)
-        });
-        assert_lanes_bit_equal(runs);
-    }
-
-    #[test]
-    fn with_df_lanes_are_bit_exact(
-        postings in vec((proptest::num::u64::ANY, -1.0..1.0f64, 0.0..1.0f64, 0.0..50.0f64), 0..19),
-        dfs_raw in vec(0.0..1.0f64, 19),
-        xj in -1.0..1.0f64,
-    ) {
-        let raw = pack(&postings);
-        let n = postings.len();
-        let dfs = &dfs_raw[..n];
-        let p = L2BatchParams {
-            xj,
-            now: 0.0,
-            xnorm_before: 0.7,
-            rs2: 0.9,
-            theta_slack: 0.4,
-            inv_step: 1.0,
-        };
-        let runs = on_each_lane(|| {
-            let mut ids = vec![0u64; n];
-            let mut deltas = vec![0.0f64; n];
-            let mut prune = vec![0.0f64; n];
-            let mut admit = vec![0u8; n];
-            candidate_batch_with_df(&raw, dfs, &p, &mut ids, &mut deltas, &mut prune, &mut admit);
             (ids, deltas, prune, admit)
         });
         assert_lanes_bit_equal(runs);
@@ -299,10 +271,11 @@ fn merge_cross_rotation_matches() {
 #[test]
 fn neg_infinity_rs2_vetoes_admission_on_every_lane() {
     // -∞ · 0 = NaN must read as "not admitted" under both the scalar
-    // `>=` and the ordered SIMD predicate.
+    // `>=` and the ordered SIMD predicate: a one-bin table of factor 0
+    // gives every posting df = 0.
     let postings: Vec<(u64, f64, f64, f64)> = (0..9).map(|i| (i, 0.5, 0.5, i as f64)).collect();
     let raw = pack(&postings);
-    let dfs = vec![0.0f64; 9];
+    let factors = [0.0f64];
     let p = L2BatchParams {
         xj: 0.3,
         now: 10.0,
@@ -316,10 +289,10 @@ fn neg_infinity_rs2_vetoes_admission_on_every_lane() {
         let mut deltas = vec![0.0f64; 9];
         let mut prune = vec![0.0f64; 9];
         let mut admit = vec![1u8; 9];
-        candidate_batch_with_df(
+        l2_candidate_batch(
             &raw,
-            &dfs,
             &p,
+            &factors,
             &mut ids,
             &mut deltas,
             &mut prune,

@@ -1,6 +1,7 @@
-//! Exponential time decay and the time horizon.
+//! Exponential time decay, the time horizon, and the quantized decay
+//! bound the engines prune with.
 
-use crate::Timestamp;
+use crate::{DecayModel, Timestamp};
 
 /// The exponential decay `e^{-λ·Δt}` that turns cosine similarity into the
 /// paper's *time-dependent similarity*:
@@ -79,26 +80,30 @@ impl Decay {
     }
 }
 
-/// A quantized upper-bound table for the decay factor `e^{-λ·Δt}`.
+/// A quantized upper-bound table for a decay factor `f(Δt)`.
 ///
-/// Candidate generation evaluates the decay factor once per posting entry
-/// — the single transcendental call on the hot path. Pruning only needs an
-/// **upper bound** on the factor (a larger factor prunes *less*, never
-/// more, so no pair can be lost); the exact `exp` is reserved for the
-/// final verification of surviving candidates.
+/// Candidate generation needs the decay factor once per posting entry.
+/// Pruning only needs an **upper bound** on it (a larger factor prunes
+/// *less*, never more, so no pair can be lost); the exact factor is
+/// reserved for the final verification of surviving candidates.
 ///
-/// The table stores `e^{-λ·(i·step)}` for `i·step` spanning `[0, τ]`.
-/// Since the factor is decreasing in `Δt`, the value at a bin's lower edge
-/// bounds every `Δt` inside the bin from above. With the default 1024
-/// bins, the slack per lookup is a factor of `e^{λτ/1024} =
+/// The table stores `f(i·step)` for `i·step` spanning `[0, τ]`, for any
+/// non-increasing [`DecayModel`]: the value at a bin's left edge bounds
+/// every `Δt` inside the bin from above. For the exponential, with the
+/// default 1024 bins, the slack per lookup is a factor of `e^{λτ/1024} =
 /// (1/θ)^{1/1024}` — below 0.7 % even at `θ = 0.001` — which only admits a
 /// sliver of extra candidates; exactness is untouched.
+///
+/// When the horizon is not finite or not positive the table has one bin,
+/// `[1.0]`, with `1/step = 1`. That is exact wherever an engine looks: a
+/// model that never forgets (exponential with `λ = 0`) has factor 1 at
+/// every gap, and a zero horizon (`θ = 1`) leaves only postings at
+/// `Δt = 0` live.
 #[derive(Clone, Debug)]
 pub struct DecayTable {
     factors: Box<[f64]>,
-    /// `1/step`, i.e. `bins/τ`. Zero when λ = 0 (no decay).
+    /// `1/step`, i.e. `bins/τ`; 1 for the one-bin table.
     inv_step: f64,
-    decay: Decay,
 }
 
 /// Default bin count for [`DecayTable`]. 1024 keeps the per-bin slack
@@ -108,71 +113,45 @@ pub struct DecayTable {
 const DECAY_TABLE_BINS: usize = 1024;
 
 impl DecayTable {
-    /// Builds a table for `decay` covering gaps in `[0, horizon]`.
-    ///
-    /// With `λ = 0` or an infinite horizon the factor is constant or the
-    /// span unbounded; the table then degenerates to the exact
-    /// single-entry form (`upper` falls back to `factor`).
-    pub fn new(decay: Decay, horizon: f64) -> Self {
-        if decay.lambda() == 0.0 || !horizon.is_finite() || horizon <= 0.0 {
+    /// Builds a table for `model` covering gaps in `[0, horizon]`, or the
+    /// one-bin table when `horizon` is not finite or not positive.
+    pub fn new(model: DecayModel, horizon: f64) -> Self {
+        if !horizon.is_finite() || horizon <= 0.0 {
             return DecayTable {
                 factors: vec![1.0].into_boxed_slice(),
-                inv_step: 0.0,
-                decay,
+                inv_step: 1.0,
             };
         }
         let step = horizon / DECAY_TABLE_BINS as f64;
         let factors: Vec<f64> = (0..=DECAY_TABLE_BINS)
-            .map(|i| decay.factor(i as f64 * step))
+            .map(|i| model.factor(i as f64 * step))
             .collect();
         DecayTable {
             factors: factors.into_boxed_slice(),
             inv_step: 1.0 / step,
-            decay,
         }
     }
 
-    /// The underlying decay.
-    #[inline]
-    pub fn decay(&self) -> Decay {
-        self.decay
-    }
-
-    /// An upper bound on `e^{-λ·Δt}`, exact at bin edges.
+    /// An upper bound on `f(Δt)`, exact at bin edges.
     ///
     /// Gaps beyond the horizon clamp to the last bin — still an upper
     /// bound there is not guaranteed, but callers discard such entries by
     /// time filtering before scoring them.
     #[inline]
     pub fn upper(&self, dt: f64) -> f64 {
-        if self.inv_step == 0.0 {
-            return self.decay.factor(dt.max(0.0));
-        }
         let idx = (dt * self.inv_step) as usize;
         // `as usize` saturates negative/NaN to 0 and huge to MAX; the
         // unconditional min keeps the lookup branch-light.
         self.factors[idx.min(self.factors.len() - 1)]
     }
 
-    /// The exact factor (final-verification path).
-    #[inline]
-    pub fn exact(&self, dt: f64) -> f64 {
-        self.decay.factor(dt)
-    }
-
-    /// The raw quantized table, `(factors, 1/step)`, when one exists —
-    /// `None` for the degenerate exact form (λ = 0 or an unbounded
-    /// horizon), which callers must keep on the per-entry [`Self::upper`]
-    /// path. The batched kernels (`sssj_kernels::l2_candidate_batch`,
-    /// `decay_upper_batch`) consume this pair and reproduce
+    /// The raw quantized table, `(factors, 1/step)`. The batched kernels
+    /// (`sssj_kernels::l2_candidate_batch`, `decay_upper_batch`) and the
+    /// accumulator's list pass consume this pair and reproduce
     /// [`Self::upper`] bit for bit over every non-NaN gap.
     #[inline]
-    pub fn lookup(&self) -> Option<(&[f64], f64)> {
-        if self.inv_step > 0.0 {
-            Some((&self.factors, self.inv_step))
-        } else {
-            None
-        }
+    pub fn lookup(&self) -> (&[f64], f64) {
+        (&self.factors, self.inv_step)
     }
 
     /// Estimated heap footprint in bytes.
@@ -235,61 +214,131 @@ mod tests {
 
     #[test]
     fn table_upper_bounds_exact_factor() {
-        let d = Decay::new(0.1);
-        let tau = d.horizon(0.5);
-        let table = DecayTable::new(d, tau);
-        let mut dt = 0.0;
-        while dt <= tau {
-            let upper = table.upper(dt);
-            let exact = d.factor(dt);
-            assert!(upper >= exact, "upper({dt}) = {upper} < exact {exact}");
-            // …and tight: within the per-bin slack.
-            assert!(upper <= exact * 1.01, "upper({dt}) too loose");
-            dt += tau / 1000.0;
+        let models = [
+            DecayModel::exponential(0.1),
+            DecayModel::sliding_window(7.0),
+            DecayModel::linear(13.0),
+            DecayModel::polynomial(1.5, 2.0),
+        ];
+        for model in models {
+            for theta in [0.05, 0.3, 0.5, 0.9, 0.999] {
+                let tau = model.horizon(theta);
+                let table = DecayTable::new(model, tau);
+                let (factors, inv_step) = table.lookup();
+                assert_eq!(factors.len(), DECAY_TABLE_BINS + 1, "{model} θ={theta}");
+                // The last bin is the factor at the horizon itself.
+                assert_eq!(
+                    factors[DECAY_TABLE_BINS].to_bits(),
+                    model.factor(tau).to_bits(),
+                    "{model} θ={theta}"
+                );
+                let step = tau / DECAY_TABLE_BINS as f64;
+                for i in 0..=DECAY_TABLE_BINS {
+                    let edge = i as f64 * step;
+                    for dt in [edge.next_down().max(0.0), edge, edge.next_up().min(tau)] {
+                        let upper = table.upper(dt);
+                        let exact = model.factor(dt);
+                        // `dt·inv_step` can round up across a bin edge,
+                        // so a gap an ulp left of an edge may read the
+                        // next bin. The engines' pruning slack
+                        // (`PRUNE_EPS` = 1e-12) absorbs exactly this.
+                        assert!(
+                            upper >= exact - 1e-12,
+                            "{model} θ={theta}: upper({dt}) = {upper} < exact {exact} \
+                             (inv_step {inv_step})"
+                        );
+                    }
+                }
+                if model.is_exponential() {
+                    // …and tight: within the per-bin slack.
+                    let mut dt = 0.0;
+                    while dt <= tau {
+                        assert!(
+                            table.upper(dt) <= model.factor(dt) * 1.01,
+                            "upper({dt}) too loose"
+                        );
+                        dt += tau / 1000.0;
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn table_is_exact_at_bin_edges() {
-        let d = Decay::new(0.5);
-        let table = DecayTable::new(d, 10.0);
+        // A power-of-two horizon makes `step` and `inv_step` exact, so
+        // every edge lands on its own bin.
+        let model = DecayModel::exponential(0.5);
+        let table = DecayTable::new(model, 16.0);
+        let (factors, inv_step) = table.lookup();
+        assert_eq!(inv_step, 64.0);
         assert_eq!(table.upper(0.0), 1.0);
-        assert!((table.exact(3.0) - d.factor(3.0)).abs() < 1e-15);
+        for (i, f) in factors.iter().enumerate() {
+            let edge = i as f64 / 64.0;
+            assert_eq!(f.to_bits(), model.factor(edge).to_bits(), "bin {i}");
+            assert_eq!(table.upper(edge).to_bits(), f.to_bits(), "edge {edge}");
+        }
+        // The exponential model's table is the one `Decay` would build.
+        assert_eq!(
+            model.factor(3.0).to_bits(),
+            Decay::new(0.5).factor(3.0).to_bits()
+        );
     }
 
     #[test]
     fn degenerate_tables_fall_back_to_exact() {
-        let none = DecayTable::new(Decay::new(0.0), f64::INFINITY);
-        assert_eq!(none.upper(1e12), 1.0);
-        let inf = DecayTable::new(Decay::new(0.3), f64::INFINITY);
-        assert!((inf.upper(2.0) - (-0.6f64).exp()).abs() < 1e-15);
+        // No decay, an unbounded or a zero horizon: one bin, `[1.0]`,
+        // which is the exact factor wherever an engine can look.
+        for (model, horizon) in [
+            (DecayModel::exponential(0.0), f64::INFINITY),
+            (DecayModel::exponential(0.3), f64::INFINITY),
+            (DecayModel::exponential(0.3), 0.0),
+            (DecayModel::linear(4.0), f64::NAN),
+        ] {
+            let table = DecayTable::new(model, horizon);
+            assert_eq!(table.lookup(), (&[1.0][..], 1.0), "{model} τ={horizon}");
+            for dt in [-1.0, 0.0, 2.0, 1e12] {
+                assert_eq!(table.upper(dt), 1.0, "{model} τ={horizon} Δt={dt}");
+            }
+        }
+        // λ = 0 never decays, so the one bin is exact at every gap.
+        assert_eq!(DecayModel::exponential(0.0).factor(1e12), 1.0);
     }
 
     #[test]
     fn lookup_exposes_table_iff_quantized() {
-        let real = DecayTable::new(Decay::new(0.1), 20.0);
-        let (factors, inv_step) = real.lookup().expect("quantized table");
-        assert!(inv_step > 0.0);
-        // The batched kernel over the exposed pair must reproduce
-        // `upper` bit for bit — that is the contract the engines'
-        // batch path relies on.
+        // Every table, one-bin ones included, exposes its lookup pair,
+        // and the batched kernel over that pair reproduces `upper` bit
+        // for bit — the contract the engines' list pass relies on.
         let dts: Vec<f64> = (-3..40).map(|i| i as f64 * 0.7).collect();
-        let mut out = vec![0.0; dts.len()];
-        sssj_kernels::decay_upper_batch(&dts, inv_step, factors, &mut out);
-        for (dt, got) in dts.iter().zip(&out) {
-            assert_eq!(got.to_bits(), real.upper(*dt).to_bits(), "dt={dt}");
+        for (table, bins) in [
+            (
+                DecayTable::new(DecayModel::exponential(0.1), 20.0),
+                DECAY_TABLE_BINS + 1,
+            ),
+            (
+                DecayTable::new(DecayModel::polynomial(2.0, 3.0), 20.0),
+                DECAY_TABLE_BINS + 1,
+            ),
+            (
+                DecayTable::new(DecayModel::exponential(0.0), f64::INFINITY),
+                1,
+            ),
+        ] {
+            let (factors, inv_step) = table.lookup();
+            assert_eq!(factors.len(), bins);
+            assert!(inv_step > 0.0);
+            let mut out = vec![0.0; dts.len()];
+            sssj_kernels::decay_upper_batch(&dts, inv_step, factors, &mut out);
+            for (dt, got) in dts.iter().zip(&out) {
+                assert_eq!(got.to_bits(), table.upper(*dt).to_bits(), "dt={dt}");
+            }
         }
-        assert!(DecayTable::new(Decay::new(0.0), f64::INFINITY)
-            .lookup()
-            .is_none());
-        assert!(DecayTable::new(Decay::new(0.3), f64::INFINITY)
-            .lookup()
-            .is_none());
     }
 
     #[test]
     fn table_clamps_past_horizon() {
-        let d = Decay::new(0.1);
+        let d = DecayModel::exponential(0.1);
         let table = DecayTable::new(d, 5.0);
         // Beyond the horizon the clamp returns the last bin.
         assert!((table.upper(100.0) - d.factor(5.0)).abs() < 1e-12);

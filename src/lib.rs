@@ -386,7 +386,9 @@
 //!   O(1) reset, no hashing, with a spill table for arbitrary ids;
 //! * decay factors come from a quantized upper-bound
 //!   [`types::DecayTable`] inside pruning tests (safe: a larger factor
-//!   only admits more), with the exact `exp` reserved for final
+//!   only admits more), built from any non-increasing
+//!   [`types::DecayModel`], so STR-L2 and the generic decay engine share
+//!   one candidate pass; the exact factor is reserved for final
 //!   verification;
 //! * residual vectors live in pooled buffers recycled as vectors expire,
 //!   and index-construction bounds are replayed in squared space so the
