@@ -1,19 +1,21 @@
-//! A reusable score accumulator keyed by vector id.
+//! A reusable score accumulator keyed by arrival order.
 //!
 //! Candidate generation accumulates partial dot products into the array
 //! `C[ι(y)]` of Algorithm 3. Queries arrive continuously, so the map must
 //! be reset after every query in O(1), not O(capacity).
 //!
-//! Stream ids are assigned in arrival order, and every candidate the
-//! streaming indexes can produce is *alive* — within the time horizon —
-//! so the live key range is a dense, slowly sliding window `[base, base +
-//! span)`. The accumulator exploits that: scores live in a flat `f64`
-//! array indexed by `key - base`, each slot carrying an **epoch stamp**.
-//! A slot is valid only when its stamp equals the current epoch, so
-//! [`ScoreAccumulator::clear`] is a single epoch increment — no hashing,
-//! no per-query sweep. [`ScoreAccumulator::advance_floor`] slides the
-//! window as old vectors expire, keeping the array no larger than the
-//! live id span.
+//! The keys rise in arrival order: STR keys by row ordinal (its
+//! `crate::ArrivalStore` numbers rows `0, 1, 2, …`, so a repeated vector
+//! id is two keys), the decay and MB engines by vector id. Every
+//! candidate the streaming indexes can produce is *alive* — within the
+//! time horizon — so the live key range is a dense, slowly sliding
+//! window `[base, base + span)`. The accumulator exploits that: scores
+//! live in a flat `f64` array indexed by `key - base`, each slot
+//! carrying an **epoch stamp**. A slot is valid only when its stamp
+//! equals the current epoch, so [`ScoreAccumulator::clear`] is a single
+//! epoch increment — no hashing, no per-query sweep.
+//! [`ScoreAccumulator::advance_floor`] slides the window as old vectors
+//! expire, keeping the array no larger than the live key span.
 //!
 //! Keys far outside the dense window (arbitrary `u64`s are allowed by the
 //! API) fall back to a small open-addressing spill table with the same
@@ -65,6 +67,24 @@
 //! and the scalar and SSE4.1 lanes take the per-entry rule with the
 //! scalar kernel formula (`sssj_kernels::l2_candidate`), which both
 //! vector forms match bit for bit.
+//!
+//! # The survivor filter
+//!
+//! STR verifies in two passes. The first,
+//! [`ScoreAccumulator::survivors`], runs over the touched slots alone:
+//! with STR's keys being row ordinals and the floor being the oldest
+//! live row, a slot's offset *is* its row in the store's `Q` and time
+//! columns, so the filter keeps a slot when `c > 0 ∧ (c + Q)·upper(now −
+//! t) ≥ θₛ` (`c > 0` alone for an index that does not prune) without a
+//! lookup. Only the survivors — a few dozen of several hundred touched
+//! slots on a dense record, ~0.1 per sparse one — go on to the second
+//! pass, which reads their residuals. On AVX-512 the filter takes eight
+//! slots per step: it gathers scores, times, bounds and table bins under
+//! masks and compress-stores the survivors' offsets and scores, lowest
+//! lane first, which is touch order. Every other lane runs the same rule
+//! as a branch-free scalar loop that writes every slot at the output's
+//! end and advances past survivors only. Both give the same survivors,
+//! scores and order.
 
 use sssj_kernels::L2BatchParams;
 
@@ -99,9 +119,9 @@ const DENSE_SPAN_LIMIT: u64 = 1 << 22;
 
 /// An epoch-stamped `u64 → f64` accumulator with O(1) reset.
 ///
-/// Keys are vector ids (never `u64::MAX`). Values accumulate via
-/// [`ScoreAccumulator::add`] and can be zeroed in place (candidate
-/// pruning) without forgetting that the slot was touched.
+/// Keys are row ordinals or vector ids (never `u64::MAX`). Values
+/// accumulate via [`ScoreAccumulator::add`] and can be zeroed in place
+/// (candidate pruning) without forgetting that the slot was touched.
 #[derive(Clone, Debug)]
 pub struct ScoreAccumulator {
     /// First key of the dense window.
@@ -160,7 +180,7 @@ impl ScoreAccumulator {
 
     /// Raises the dense-window floor to `floor`.
     ///
-    /// Callers do this between queries with the oldest *live* id: the
+    /// Callers do this between queries with the oldest *live* key: the
     /// window then tracks the time horizon instead of the whole stream,
     /// keeping the dense array bounded. A no-op unless the accumulator is
     /// empty (slot↔key mapping must not move under touched entries) and
@@ -651,6 +671,150 @@ impl ScoreAccumulator {
         admitted
     }
 
+    /// Verification's first pass (see [the survivor
+    /// filter](self#the-survivor-filter)): writes to `out`, in touch order
+    /// (spill keys last, as [`Self::iter`]), the offset `key − floor` and
+    /// the score `c` of every touched key that has a row in `f`'s columns
+    /// and keeps `c > 0 ∧ ¬((c + q)·upper(now − t) < θₛ)`, or `c > 0`
+    /// alone when `f.prunes` is false. The columns' row 0 must be the key
+    /// at the accumulator's floor (the last [`Self::advance_floor`]).
+    pub fn survivors(&self, f: &SurvivorFilter, out: &mut Survivors) {
+        assert_eq!(f.first, self.base, "the columns start at the floor");
+        assert!(
+            !f.factors.is_empty() && f.inv_step > 0.0 && f.inv_step.is_finite(),
+            "malformed decay table"
+        );
+        let rows = f.q.len().min(f.t.len());
+        out.offsets.clear();
+        out.scores.clear();
+        out.offsets.reserve(self.len());
+        out.scores.reserve(self.len());
+        if rows > 0 {
+            #[cfg(target_arch = "x86_64")]
+            if sssj_kernels::active_lane() == sssj_kernels::Lane::Avx512 {
+                // SAFETY: `active_lane` reports AVX-512 only when the CPU
+                // has AVX-512 F, VL, AVX2 and POPCNT.
+                unsafe { self.survivors_avx512(f, rows, out) };
+            } else {
+                self.survivors_scalar(f, rows, out);
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            self.survivors_scalar(f, rows, out);
+        }
+        for (key, c) in self.spill.iter() {
+            let off = key.wrapping_sub(self.base);
+            if off < rows as u64 && off <= u32::MAX as u64 && survives(f, c, off as usize) {
+                out.offsets.push(off as u32);
+                out.scores.push(c);
+            }
+        }
+    }
+
+    /// The branch-free route of [`Self::survivors`] over the dense slots:
+    /// every slot is written at the output's end, which advances only
+    /// past a survivor. `rows` is at least 1.
+    fn survivors_scalar(&self, f: &SurvivorFilter, rows: usize, out: &mut Survivors) {
+        let offsets = out.offsets.spare_capacity_mut();
+        let scores = out.scores.spare_capacity_mut();
+        let mut n = 0;
+        for &off in &self.touched {
+            let o = off as usize;
+            let c = self.vals[o];
+            let inside = o < rows;
+            let keep = inside & survives(f, c, if inside { o } else { 0 });
+            offsets[n].write(off);
+            scores[n].write(c);
+            n += keep as usize;
+        }
+        // SAFETY: both outputs had room for every touched slot (reserved
+        // by the caller), and their first `n` elements were written.
+        unsafe {
+            out.offsets.set_len(n);
+            out.scores.set_len(n);
+        }
+    }
+
+    /// The AVX-512 route of [`Self::survivors`] over the dense slots:
+    /// eight touched offsets per step (the last step masked), their
+    /// scores, times, bounds and decay factors gathered, and the
+    /// survivors' offsets and scores compress-stored in lane order,
+    /// which is touch order. `rows` is at least 1.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl,avx2,popcnt")]
+    fn survivors_avx512(&self, f: &SurvivorFilter, rows: usize, out: &mut Survivors) {
+        use std::arch::x86_64::*;
+
+        let zero = _mm512_setzero_pd();
+        let now = _mm512_set1_pd(f.now);
+        let inv_step = _mm512_set1_pd(f.inv_step);
+        let theta_slack = _mm512_set1_pd(f.theta_slack);
+        let max_idx = _mm512_set1_pd((f.factors.len() - 1) as f64);
+        let rows32 = _mm256_set1_epi32(rows.min(u32::MAX as usize) as u32 as i32);
+        let (vals, q, t) = (self.vals.as_ptr(), f.q.as_ptr(), f.t.as_ptr());
+        let (out_offs, out_scores) = (out.offsets.as_mut_ptr(), out.scores.as_mut_ptr());
+        let touched = &self.touched;
+        let mut n = 0usize;
+        let mut i = 0;
+        while i < touched.len() {
+            let count = (touched.len() - i).min(8);
+            let valid = (0xFF_u32 >> (8 - count)) as __mmask8;
+            // SAFETY: the mask keeps the `count` offsets `i..i + count`,
+            // all inside `touched`; masked-off lanes are not read.
+            let offs =
+                unsafe { _mm256_maskz_loadu_epi32(valid, touched.as_ptr().add(i) as *const i32) };
+            debug_assert!(touched[i..i + count]
+                .iter()
+                .all(|&o| (o as usize) < self.vals.len()));
+            // SAFETY: every touched offset indexes `vals` (a slot is
+            // touched only once it exists, and the dense array never
+            // shrinks), and offsets stay below `DENSE_SPAN_LIMIT`, so
+            // they are non-negative as `i32`.
+            let c = unsafe { _mm512_mask_i32gather_pd::<8>(zero, valid, offs, vals) };
+            let inside = _mm256_mask_cmplt_epu32_mask(valid, offs, rows32);
+            let mut keep = _mm512_mask_cmp_pd_mask::<_CMP_GT_OQ>(inside, c, zero);
+            if f.prunes {
+                // SAFETY: `keep` lanes are `inside` lanes, whose offsets
+                // index the `rows`-long columns.
+                let (tt, qq) = unsafe {
+                    (
+                        _mm512_mask_i32gather_pd::<8>(zero, keep, offs, t),
+                        _mm512_mask_i32gather_pd::<8>(zero, keep, offs, q),
+                    )
+                };
+                // `survives`, operation for operation: the gap clamped
+                // at 0 (a NaN gap too, as `f64::max` does), the bin
+                // clamped to the table.
+                let dt = _mm512_max_pd(_mm512_sub_pd(now, tt), zero);
+                let pos = _mm512_mul_pd(dt, inv_step);
+                let bin = _mm512_cvttpd_epi32(_mm512_max_pd(_mm512_min_pd(pos, max_idx), zero));
+                // SAFETY: every lane of `bin` lies in `[0, factors.len())`:
+                // the clamp maps each position, NaN included, into `[0,
+                // max_idx]` before truncation.
+                let df =
+                    unsafe { _mm512_mask_i32gather_pd::<8>(zero, keep, bin, f.factors.as_ptr()) };
+                let bound = _mm512_mul_pd(_mm512_add_pd(c, qq), df);
+                keep = _mm512_mask_cmp_pd_mask::<_CMP_NLT_UQ>(keep, bound, theta_slack);
+            }
+            debug_assert!(n + (keep.count_ones() as usize) <= out.offsets.capacity());
+            // SAFETY: each compress-store writes one element per `keep`
+            // lane at `n`; `n` counts survivors among the `i` offsets
+            // before this step, and both outputs have room for every
+            // touched offset (reserved by the caller).
+            unsafe {
+                _mm256_mask_compressstoreu_epi32(out_offs.add(n) as *mut i32, keep, offs);
+                _mm512_mask_compressstoreu_pd(out_scores.add(n), keep, c);
+            }
+            n += keep.count_ones() as usize;
+            i += count;
+        }
+        // SAFETY: the first `n` elements of both outputs were written by
+        // the compress-stores above.
+        unsafe {
+            out.offsets.set_len(n);
+            out.scores.set_len(n);
+        }
+    }
+
     /// Adds `delta` to the score of `key`, returning the new value.
     #[inline]
     pub fn add(&mut self, key: u64, delta: f64) -> f64 {
@@ -736,6 +900,79 @@ impl Default for ScoreAccumulator {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// What [`ScoreAccumulator::survivors`] tests touched keys against: the
+/// `Q` and arrival-time columns of the rows the keys stand for
+/// (`sssj_collections::ArrivalStore::q_column`/`t_column`), and the
+/// decay bound of the engine's quantized table.
+#[derive(Clone, Copy, Debug)]
+pub struct SurvivorFilter<'a> {
+    /// The key of row 0 of `q` and `t`: the accumulator's floor.
+    pub first: u64,
+    /// `Q` per row: the bound on the un-scored part of the row's dot.
+    pub q: &'a [f64],
+    /// Arrival time per row, parallel to `q`.
+    pub t: &'a [f64],
+    /// The query's time.
+    pub now: f64,
+    /// `θ` minus the prune slack.
+    pub theta_slack: f64,
+    /// The decay table's bins (`sssj_types::DecayTable::lookup`).
+    pub factors: &'a [f64],
+    /// `1/step` of the decay table.
+    pub inv_step: f64,
+    /// Whether the `(c + Q)·df` bound applies; `c > 0` alone otherwise.
+    pub prunes: bool,
+}
+
+/// The output of [`ScoreAccumulator::survivors`]: the surviving keys'
+/// offsets from the floor (= their rows in the filter's columns) and
+/// their scores, in touch order. Reused across queries.
+#[derive(Clone, Debug, Default)]
+pub struct Survivors {
+    offsets: Vec<u32>,
+    scores: Vec<f64>,
+}
+
+impl Survivors {
+    /// An empty output.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether nothing survived.
+    pub fn is_empty(&self) -> bool {
+        self.offsets.is_empty()
+    }
+
+    /// `(offset, score)` per survivor, in touch order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.offsets
+            .iter()
+            .copied()
+            .zip(self.scores.iter().copied())
+    }
+
+    /// Heap footprint in bytes.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.offsets.capacity() * 4 + self.scores.capacity() * 8) as u64
+    }
+}
+
+/// The survivor rule for score `c` against row `row` of `f`'s columns,
+/// written with non-short-circuiting operators so it compiles without
+/// data-dependent jumps; [`ScoreAccumulator::survivors_avx512`] computes
+/// it operation for operation. A NaN bound survives (`¬(bound < θₛ)`,
+/// the AVX-512 route's `_CMP_NLT_UQ`), as it did when verification
+/// skipped on `bound < θₛ`.
+#[inline]
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn survives(f: &SurvivorFilter, c: f64, row: usize) -> bool {
+    let dt = (f.now - f.t[row]).max(0.0);
+    let bin = ((dt * f.inv_step) as usize).min(f.factors.len() - 1);
+    let bound = (c + f.q[row]) * f.factors[bin];
+    (c > 0.0) & (!f.prunes | !(bound < f.theta_slack))
 }
 
 /// The open-addressing fallback for keys outside the dense window —

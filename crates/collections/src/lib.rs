@@ -11,16 +11,22 @@
 //!   (time filtering) and O(log n) horizon expiry for time-ordered
 //!   lists: the cache-dense layout candidate generation scans (chosen
 //!   over fully-columnar splits by measurement — see [`posting`]);
+//! * [`ArrivalStore`] — the residual direct index `R` and the `Q`
+//!   array of STR as one arrival-ordered store keyed by row ordinal:
+//!   `id`/`t`/`Q` columns and a FIFO arena of residual coordinates,
+//!   pruned from the front in amortised O(1) and sized by the live
+//!   horizon;
 //! * [`LinkedHashMap`] — a hash map threaded with an insertion-order list,
-//!   backing the residual direct index `R` and the `Q` array, so that
-//!   expired vectors can be pruned from the front in amortised O(1);
+//!   the same index keyed by vector id for the decay engine;
 //! * [`DecayedMaxVec`] — the lazily-decayed per-dimension running maximum
 //!   `m̂λ` (exact for uniform exponential decay), plus the plain running
 //!   maximum [`MaxVector`] `m` used by the AP-family bounds;
 //! * [`ScoreAccumulator`] — the candidate score array `C[ι(y)]`: a dense,
-//!   epoch-stamped sliding window over live vector ids with O(1) reset
-//!   (no hashing, no per-query sweep) and a spill table for arbitrary
-//!   keys.
+//!   epoch-stamped sliding window over live keys (STR's row ordinals,
+//!   the other engines' vector ids) with O(1) reset (no hashing, no
+//!   per-query sweep), a spill table for arbitrary keys, and the
+//!   survivor filter that opens STR's verification over the store's
+//!   columns.
 //!
 //! Extensions beyond the paper's inventory:
 //!
@@ -39,6 +45,7 @@
 //!   the historical tier in `sssj-segments`.
 
 pub mod accumulator;
+pub mod arrival;
 pub mod bloom;
 pub mod decayed_max;
 pub mod hash;
@@ -49,7 +56,8 @@ pub mod timed_block;
 pub mod varint;
 pub mod windowed_max;
 
-pub use accumulator::{Accumulated, ScoreAccumulator};
+pub use accumulator::{Accumulated, ScoreAccumulator, SurvivorFilter, Survivors};
+pub use arrival::{ArrivalStore, Row};
 pub use bloom::BloomFilter;
 pub use decayed_max::DecayedMaxVec;
 pub use hash::{FxBuildHasher, FxHasher};

@@ -1,11 +1,13 @@
 //! Model-based property tests: each structure is compared against a simple
 //! reference implementation under random operation sequences.
 
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use sssj_collections::{
-    Accumulated, DecayedMaxVec, LinkedHashMap, PackedPosting, ScoreAccumulator,
+    Accumulated, ArrivalStore, DecayedMaxVec, LinkedHashMap, PackedPosting, ScoreAccumulator,
+    SurvivorFilter, Survivors,
 };
 use sssj_kernels::{active_lane, force_lane, l2_candidate_batch, L2BatchParams, Lane};
 
@@ -316,17 +318,15 @@ impl Drop for LaneGuard {
     }
 }
 
-/// Prints each kernel lane the list-pass model test runs on, once per
-/// process, so a run on a host without AVX-512 says what it covered.
-fn report_lane(lane: Lane) {
-    static SEEN: Mutex<Vec<Lane>> = Mutex::new(Vec::new());
+/// Prints each kernel lane a lane-forcing model test runs on, once per
+/// test and lane, so a run on a host without AVX-512 says what it
+/// covered.
+fn report_lane(test: &'static str, lane: Lane) {
+    static SEEN: Mutex<Vec<(&str, Lane)>> = Mutex::new(Vec::new());
     let mut seen = SEEN.lock().unwrap_or_else(|e| e.into_inner());
-    if !seen.contains(&lane) {
-        seen.push(lane);
-        eprintln!(
-            "accumulator_l2_list_rev_matches_batch_then_replay: ran on {}",
-            lane.name()
-        );
+    if !seen.contains(&(test, lane)) {
+        seen.push((test, lane));
+        eprintln!("{test}: ran on {}", lane.name());
     }
 }
 
@@ -422,7 +422,7 @@ proptest! {
                 // Above the hardware maximum: the forced lane was clamped.
                 continue;
             }
-            report_lane(lane);
+            report_lane("accumulator_l2_list_rev_matches_batch_then_replay", lane);
             let mut sys = start.clone();
             // Twice: the second pass meets the slots the first one touched.
             let got: Vec<u32> = (0..2)
@@ -435,6 +435,199 @@ proptest! {
             prop_assert_eq!(sys.len(), model.len(), "{:?}", lane);
             let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
             prop_assert_eq!(&have, &want_state, "{:?}", lane);
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+enum StoreOp {
+    /// Advance time by the gap, then push a row of this id with a
+    /// residual of this length.
+    Push(f64, u8, usize),
+    /// Pop at `last push + ahead` with this horizon.
+    Pop(f64, f64),
+    /// Truncate the residual of the `pick % len`-th live row.
+    Truncate(usize, usize),
+}
+
+fn store_op() -> impl Strategy<Value = StoreOp> {
+    prop_oneof![
+        4 => (0.0f64..2.0, 0u8..8, 0usize..40).prop_map(|(gap, id, len)| StoreOp::Push(gap, id, len)),
+        2 => (0.0f64..3.0, prop_oneof![4 => 0.0f64..6.0, 1 => Just(0.0)])
+            .prop_map(|(ahead, tau)| StoreOp::Pop(ahead, tau)),
+        1 => (0usize..64, 0usize..40).prop_map(|(pick, len)| StoreOp::Truncate(pick, len)),
+    ]
+}
+
+/// One model row: `(ordinal, id, t, q, dims, weights)`.
+type ModelRow = (u64, u64, f64, f64, Vec<u32>, Vec<f64>);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ArrivalStore` behaves like a `VecDeque` of rows numbered by
+    /// arrival: pushes, horizon pops and residual truncations over
+    /// sequences long enough to cross the columns' and the arena's
+    /// in-place compaction many times.
+    #[test]
+    fn arrival_store_matches_vecdeque_model(ops in proptest::collection::vec(store_op(), 0..400)) {
+        let mut sys: ArrivalStore<u64> = ArrivalStore::new();
+        let mut model: VecDeque<ModelRow> = VecDeque::new();
+        let (mut next, mut t) = (0u64, 0.0f64);
+        for op in ops {
+            match op {
+                StoreOp::Push(gap, id, len) => {
+                    t += gap;
+                    let dims: Vec<u32> = (0..len as u32).map(|k| 3 * k + id as u32).collect();
+                    let weights: Vec<f64> = dims.iter().map(|&d| next as f64 + d as f64 / 64.0).collect();
+                    let q = next as f64 / 7.0;
+                    prop_assert_eq!(sys.push(id as u64, t, q, next * 3, &dims, &weights), next);
+                    model.push_back((next, id as u64, t, q, dims, weights));
+                    next += 1;
+                }
+                StoreOp::Pop(ahead, tau) => {
+                    let now = t + ahead;
+                    let mut popped = 0;
+                    while model.front().is_some_and(|r| now - r.2 > tau) {
+                        model.pop_front();
+                        popped += 1;
+                    }
+                    prop_assert_eq!(sys.pop_expired(now, tau), popped);
+                }
+                StoreOp::Truncate(pick, len) => {
+                    if !model.is_empty() {
+                        let n = model.len();
+                        let row = &mut model[pick % n];
+                        sys.truncate_residual(row.0, len);
+                        row.4.truncate(len);
+                        row.5.truncate(len);
+                    }
+                }
+            }
+            let front = model.front().map_or(next, |r| r.0);
+            prop_assert_eq!((sys.front(), sys.end(), sys.len()), (front, next, model.len()));
+            prop_assert!(sys.row(front.wrapping_sub(1)).is_none() && sys.row(next).is_none());
+            for (ord, id, rt, q, dims, weights) in &model {
+                let row = sys.row(*ord).expect("live row");
+                prop_assert_eq!((row.id, row.t, row.q, row.aux), (*id, *rt, *q, ord * 3));
+                prop_assert_eq!(row.dims, &dims[..]);
+                prop_assert_eq!(row.weights, &weights[..]);
+            }
+            let qs: Vec<f64> = model.iter().map(|r| r.3).collect();
+            let ts: Vec<f64> = model.iter().map(|r| r.2).collect();
+            prop_assert_eq!(sys.q_column(), &qs[..]);
+            prop_assert_eq!(sys.t_column(), &ts[..]);
+        }
+    }
+}
+
+/// The survivor rule written the obvious way, over [`ScoreAccumulator::iter`]:
+/// `(offset, score bits)` of every touched key with a row in the columns
+/// and `c > 0 ∧ ¬((c + q)·upper(now − t) < θₛ)` (`c > 0` without pruning).
+fn survivors_reference(acc: &ScoreAccumulator, f: &SurvivorFilter) -> Vec<(u32, u64)> {
+    let mut out = Vec::new();
+    for (key, c) in acc.iter() {
+        let off = key.wrapping_sub(f.first);
+        if off >= f.q.len() as u64 || c <= 0.0 {
+            continue;
+        }
+        let row = off as usize;
+        if f.prunes {
+            let dt = (f.now - f.t[row]).max(0.0);
+            let bin = ((dt * f.inv_step) as usize).min(f.factors.len() - 1);
+            if (c + f.q[row]) * f.factors[bin] < f.theta_slack {
+                continue;
+            }
+        }
+        out.push((off as u32, c.to_bits()));
+    }
+    out
+}
+
+/// Dyadic scores and bounds, so `(c + q)·df` lands exactly on `θₛ` often.
+fn dyadic() -> impl Strategy<Value = f64> {
+    prop::sample::select(vec![0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `ScoreAccumulator::survivors` returns the same survivors, scores
+    /// and order — touch order, spill keys last — as the obvious rule
+    /// over `iter`, on the scalar, AVX2 and AVX-512 lanes the host has.
+    /// Inputs: 0–17 touched keys in random touch order (so a group of
+    /// eight holds several survivors out of key order), scores at, below
+    /// and above zero, bounds landing exactly on `θₛ`, rows at a bin
+    /// edge, at the horizon's last bin, past it and in the future, keys
+    /// past the columns, spill keys below the floor and past the dense
+    /// span, and the non-pruning policy.
+    #[test]
+    fn survivor_filter_matches_reference_on_every_lane(
+        floor in 0u64..1000,
+        touches in proptest::collection::vec(
+            (0u64..24, prop_oneof![4 => dyadic(), 1 => -1.0f64..1.0, 1 => Just(-0.25)], 0u8..6),
+            0..=17),
+        rows in 0usize..20,
+        qs in proptest::collection::vec(dyadic(), 20..=20),
+        bins in proptest::collection::vec(0u32..8, 20..=20),
+        factors in proptest::collection::vec(prop::sample::select(vec![1.0, 0.5, 0.25, 0.0]), 1..6),
+        inv_step in prop::sample::select(vec![0.5, 1.0, 2.0, 4.0]),
+        theta_slack in prop::sample::select(vec![0.0, 0.25, 0.375, 0.5, 0.75, 1.0, 1.5]),
+        prunes in proptest::bool::ANY,
+        spill in 0u8..3,
+    ) {
+        let _lane = LaneGuard::lock();
+        let now = 50.0;
+        let mut acc = ScoreAccumulator::new();
+        acc.advance_floor(floor);
+        for &(k, delta, op) in &touches {
+            let key = floor + k;
+            match op {
+                // Zeroed slots stay touched with a score of zero.
+                0 => {
+                    acc.add(key, delta);
+                    acc.zero(key);
+                }
+                _ => {
+                    acc.add(key, delta);
+                }
+            }
+        }
+        if spill >= 1 && floor > 0 {
+            acc.add(floor - 1, 1.0);
+        }
+        if spill >= 2 {
+            acc.add(floor + SPILL_OFFSET, 1.0);
+        }
+        // Row i is `bins[i]` table steps old: 0 = now, a bin edge in
+        // between, `factors.len() − 1` = the horizon's last bin, larger
+        // = past it; 7 is in the future.
+        let ts: Vec<f64> = bins[..rows]
+            .iter()
+            .map(|&b| if b == 7 { now + 1.5 } else { now - b as f64 / inv_step })
+            .collect();
+        let f = SurvivorFilter {
+            first: floor,
+            q: &qs[..rows],
+            t: &ts,
+            now,
+            theta_slack,
+            factors: &factors,
+            inv_step,
+            prunes,
+        };
+        let want = survivors_reference(&acc, &f);
+        let mut out = Survivors::new();
+        for lane in [Lane::Scalar, Lane::Avx2, Lane::Avx512] {
+            force_lane(Some(lane));
+            if active_lane() != lane {
+                // Above the hardware maximum: the forced lane was clamped.
+                continue;
+            }
+            report_lane("survivor_filter_matches_reference_on_every_lane", lane);
+            acc.survivors(&f, &mut out);
+            let got: Vec<(u32, u64)> = out.iter().map(|(o, c)| (o, c.to_bits())).collect();
+            prop_assert_eq!(&got, &want, "{:?}", lane);
         }
     }
 }

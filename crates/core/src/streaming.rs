@@ -14,20 +14,29 @@
 //!   an O(1) front cut instead of an entry-by-entry backward scan (the
 //!   layout was chosen over fully-columnar splits by measurement — see
 //!   `sssj_collections::posting`);
+//! * per-vector state — id, arrival time, the `Q` bound, the residual
+//!   `R[ι(y)]` — is one [`ArrivalStore`] row, keyed by the row's
+//!   arrival *ordinal*: columns for the scalars and one FIFO arena for
+//!   the residual coordinates, popped from the front as rows pass the
+//!   horizon and compacted in place, so the store is sized by the live
+//!   horizon. Postings carry the ordinal, not the vector id, so a
+//!   time-ordered list's keys always rise, and a vector id that arrives
+//!   twice is two rows; the id is looked up only when a pair is emitted;
 //! * the candidate score array is a dense, epoch-stamped
-//!   [`ScoreAccumulator`] sliding over the live id window — O(1) reset,
-//!   no hashing. STR-L2 walks each posting list once, newest first,
-//!   through [`ScoreAccumulator::accumulate_l2_list_rev`]: eight postings
-//!   at a time on AVX-512 (four on AVX2) it computes the decay bounds,
-//!   deltas, admission flags and prune thresholds and applies them to
-//!   the score slots in the same registers, with no arrays in between;
-//!   on AVX-512 masked scatters and a compress-store write only the
-//!   slots that change, and the oldest group is masked to the postings
-//!   left. A time-ordered list's ids rise, so each group lands in
-//!   distinct slots, which is what the vector step checks; a group that
-//!   fails the check, the AVX2 pass's oldest `n % 4` postings, lists
-//!   shorter than four and the scalar lanes take one fused probe per
-//!   entry ([`ScoreAccumulator::accumulate`]);
+//!   [`ScoreAccumulator`] keyed by ordinal and floored at the oldest
+//!   live row — O(1) reset, no hashing — so a slot's offset is its row
+//!   in the store's columns. STR-L2 walks each posting list once, newest
+//!   first, through [`ScoreAccumulator::accumulate_l2_list_rev`]: eight
+//!   postings at a time on AVX-512 (four on AVX2) it computes the decay
+//!   bounds, deltas, admission flags and prune thresholds and applies
+//!   them to the score slots in the same registers, with no arrays in
+//!   between; on AVX-512 masked scatters and a compress-store write only
+//!   the slots that change, and the oldest group is masked to the
+//!   postings left. A time-ordered list's ordinals rise, so each group
+//!   lands in distinct slots, which is what the vector step checks; the
+//!   AVX2 pass's oldest `n % 4` postings, lists shorter than four and
+//!   the scalar lanes take one fused probe per entry
+//!   ([`ScoreAccumulator::accumulate`]);
 //! * the decay factor `e^{-λΔt}` is read from a quantized upper-bound
 //!   [`DecayTable`] inside all *pruning* tests (safe: a larger factor
 //!   prunes less) and computed exactly only for the final similarity of
@@ -35,20 +44,28 @@
 //! * the index-construction bounds are replayed in squared space (no
 //!   per-coordinate square root), and the stored `‖y′_j‖` prefix norms
 //!   continue that recurrence so only indexed suffixes pay a `sqrt`;
-//! * residual vectors live in pooled `Residual` buffers recycled as
-//!   vectors expire, the residual map hashes with the fx construction,
-//!   and the hit buffer is owned by the join — steady-state processing
-//!   performs **zero** heap allocations per record on the STR-L2 path
-//!   (asserted by `tests/zero_alloc.rs`).
+//! * verification takes two passes. The survivor filter
+//!   ([`ScoreAccumulator::survivors`]) runs over the touched slots and
+//!   the store's `Q` and time columns alone — gathers and a
+//!   compress-store on AVX-512, a branch-free loop elsewhere — and
+//!   keeps `c > 0 ∧ (c + Q)·df ≥ θ`. Only survivors read their
+//!   contiguous residual: AP's `ds1`/`sz2` tests, then the residual dot
+//!   as `sssj_kernels::dot_dense` against the query scattered into a
+//!   dimension-indexed scratch (scattered at the first survivor and
+//!   cleared after the last, so a record with none pays nothing), times
+//!   the exact decay factor;
+//! * the store, the filter's output, the scatter scratch and the
+//!   accumulator reach their size and stay there — steady-state
+//!   processing performs **zero** heap allocations per record on the
+//!   STR-L2 path (asserted by `tests/zero_alloc.rs`).
 
 use sssj_collections::{
-    DecayedMaxVec, LinkedHashMap, MaxVector, PackedPosting, PostingBlock, ScoreAccumulator,
+    ArrivalStore, DecayedMaxVec, MaxVector, PackedPosting, PostingBlock, ScoreAccumulator,
+    SurvivorFilter, Survivors,
 };
 use sssj_kernels::L2BatchParams;
 use sssj_metrics::JoinStats;
-use sssj_types::{
-    dot_sorted, Decay, DecayTable, SimilarPair, SparseVector, StreamRecord, VectorId, VectorSummary,
-};
+use sssj_types::{Decay, DecayTable, SimilarPair, SparseVector, StreamRecord, VectorSummary};
 
 use sssj_index::{BoundPolicy, IndexKind};
 
@@ -92,69 +109,6 @@ pub(crate) fn horizon_cutoff(now: f64, tau: f64) -> f64 {
     at(hi)
 }
 
-/// A pooled residual vector: the un-indexed prefix `R[ι(y)]`, stored as
-/// raw dimension/weight columns so expired vectors hand their buffers
-/// back for reuse instead of freeing them.
-#[derive(Clone, Debug, Default)]
-struct Residual {
-    dims: Vec<u32>,
-    weights: Vec<f64>,
-}
-
-impl Residual {
-    #[inline]
-    fn nnz(&self) -> usize {
-        self.dims.len()
-    }
-
-    #[inline]
-    fn dims(&self) -> &[u32] {
-        &self.dims
-    }
-
-    #[inline]
-    fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Refills this buffer with the first `len` coordinates of `x`.
-    fn assign_prefix(&mut self, x: &SparseVector, len: usize) {
-        self.dims.clear();
-        self.weights.clear();
-        self.dims.extend_from_slice(&x.dims()[..len]);
-        self.weights.extend_from_slice(&x.weights()[..len]);
-    }
-
-    /// The weight at `dim`, or 0.0 when absent.
-    fn get(&self, dim: u32) -> f64 {
-        match self.dims.binary_search(&dim) {
-            Ok(i) => self.weights[i],
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Keeps only the first `len` coordinates.
-    fn truncate(&mut self, len: usize) {
-        self.dims.truncate(len);
-        self.weights.truncate(len);
-    }
-
-    fn heap_bytes(&self) -> u64 {
-        (self.dims.capacity() * 4 + self.weights.capacity() * 8) as u64
-    }
-}
-
-/// Per-vector state kept while the vector is inside the horizon: the
-/// residual `R[ι(y)]`, the `Q[ι(y)]` bound, summaries and the timestamp.
-#[derive(Clone, Debug, Default)]
-struct StreamMeta {
-    residual: Residual,
-    residual_summary: VectorSummary,
-    summary: VectorSummary,
-    q: f64,
-    t: f64,
-}
-
 /// STR-IDX: the streaming similarity self-join with index `IDX`
 /// (Algorithm 5).
 ///
@@ -181,22 +135,29 @@ pub struct Streaming {
     tau: f64,
     /// Whether posting lists are guaranteed time-ordered (no re-indexing).
     time_ordered: bool,
+    /// Posting lists by dimension; a posting's id word is its row's
+    /// ordinal in `store`.
     lists: Vec<PostingBlock>,
-    /// Residual direct index `R` + `Q`, in arrival order for O(1) pruning.
-    residual: LinkedHashMap<VectorId, StreamMeta>,
-    /// Recycled residual buffers from expired vectors.
-    pool: Vec<Residual>,
+    /// Residual direct index `R` + `Q`: one row per indexed vector, in
+    /// arrival order for O(1) pruning. The row payload is `|y|·vm_y`,
+    /// the whole vector's side of the AP size filter (0 without AP).
+    store: ArrivalStore<f64>,
     /// Running max `m` over the stream so far (AP bounds only).
     m: MaxVector,
     /// Decayed max `m̂λ` over indexed vectors (AP bounds only).
     mhat_lambda: DecayedMaxVec,
-    /// Dim → candidate residual owners, for targeted re-indexing.
-    residual_inverted: Vec<Vec<VectorId>>,
+    /// Dim → ordinals of the rows whose residual has support on it, for
+    /// targeted re-indexing.
+    residual_inverted: Vec<Vec<u64>>,
+    /// Candidate scores, keyed by row ordinal.
     acc: ScoreAccumulator,
+    /// Scratch: the survivor filter's output.
+    survivors: Survivors,
+    /// Scratch: the query's weights by dimension for the residual dot;
+    /// all zero between queries.
+    dense_x: Vec<f64>,
     live_postings: u64,
     stats: JoinStats,
-    /// Scratch: verified hits awaiting output.
-    scratch_hits: Vec<(VectorId, f64, f64)>,
 }
 
 impl Streaming {
@@ -214,15 +175,15 @@ impl Streaming {
             tau,
             time_ordered: !policy.ap,
             lists: Vec::new(),
-            residual: LinkedHashMap::new(),
-            pool: Vec::new(),
+            store: ArrivalStore::new(),
             m: MaxVector::new(),
             mhat_lambda: DecayedMaxVec::new(config.lambda),
             residual_inverted: Vec::new(),
             acc: ScoreAccumulator::new(),
+            survivors: Survivors::new(),
+            dense_x: Vec::new(),
             live_postings: 0,
             stats: JoinStats::new(),
-            scratch_hits: Vec::new(),
         }
     }
 
@@ -238,55 +199,33 @@ impl Streaming {
 
     /// Estimated heap footprint of the live join state, in bytes.
     ///
-    /// Counts posting-list *capacities* (what is actually allocated, not
-    /// just occupied), the residual direct index `R` with its pooled
-    /// residual buffers (free-pool included — expired buffers are
-    /// retained for reuse, not released), the `m`/`m̂λ` max vectors, the
-    /// re-indexing inverted index, the decay table and the scratch
-    /// structures. The per-entry overheads of the hash map are
-    /// approximated by a constant, so treat the result as an estimate
-    /// good to ~10 %, not an allocator-exact figure.
+    /// Counts *capacities* (what is actually allocated, not just
+    /// occupied): the posting lists, the row store with its residual
+    /// arena (dead rows not yet compacted away included), the `m`/`m̂λ`
+    /// max vectors, the re-indexing inverted index, the decay table and
+    /// the scratch structures. Allocator rounding and headers are not
+    /// counted.
     ///
     /// Cost is O(live state) — sample it periodically (the `harness
     /// memory` experiment samples every 64 records), not per record.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        // Hash-map node + slot overhead per residual entry (two u64
-        // links, one hash slot, allocator rounding).
-        const MAP_OVERHEAD: u64 = 48;
         let mut bytes = 0u64;
         bytes += self.lists.iter().map(PostingBlock::heap_bytes).sum::<u64>();
         bytes += self.lists.capacity() as u64 * size_of::<PostingBlock>() as u64;
-        for (_, meta) in self.residual.iter() {
-            bytes += size_of::<StreamMeta>() as u64 + MAP_OVERHEAD;
-            bytes += meta.residual.heap_bytes();
-        }
-        bytes += self.pool.iter().map(Residual::heap_bytes).sum::<u64>();
+        bytes += self.store.heap_bytes();
         bytes += self.m.dims() as u64 * 8;
         bytes += self.mhat_lambda.dims() as u64 * 16;
         bytes += self
             .residual_inverted
             .iter()
-            .map(|v| v.capacity() as u64 * 8 + size_of::<Vec<VectorId>>() as u64)
+            .map(|v| v.capacity() as u64 * 8 + size_of::<Vec<u64>>() as u64)
             .sum::<u64>();
         bytes += self.acc.heap_bytes();
         bytes += self.table.heap_bytes();
-        bytes += self.scratch_hits.capacity() as u64 * size_of::<(VectorId, f64, f64)>() as u64;
+        bytes += self.survivors.heap_bytes();
+        bytes += self.dense_x.capacity() as u64 * 8;
         bytes
-    }
-
-    /// Drops residual state for vectors beyond the horizon relative to
-    /// `now`, recycling their buffers. Posting entries are pruned lazily
-    /// during scans instead.
-    fn prune_residuals(&mut self, now: f64) {
-        while let Some((_, meta)) = self.residual.front() {
-            if now - meta.t > self.tau {
-                let (_, meta) = self.residual.pop_front().expect("front exists");
-                self.pool.push(meta.residual);
-            } else {
-                break;
-            }
-        }
     }
 
     /// Candidate generation (Algorithm 7).
@@ -327,7 +266,7 @@ impl Streaming {
 
         let time_ordered = self.time_ordered;
         let lists = &mut self.lists;
-        let residual = &self.residual;
+        let store = &self.store;
         let acc = &mut self.acc;
         let stats = &mut self.stats;
         let live = &mut self.live_postings;
@@ -415,16 +354,15 @@ impl Streaming {
                             return false;
                         }
                         if policy.ap {
-                            match residual.get(&id) {
-                                Some(meta) => {
-                                    let s = &meta.summary;
-                                    if (s.nnz as f64) * s.max_weight < sz1 {
+                            match store.row(id) {
+                                Some(row) => {
+                                    if row.aux < sz1 {
                                         return true;
                                     }
                                 }
-                                // Residual metadata is pruned at the same
-                                // horizon as entries; a missing entry
-                                // means the vector just expired.
+                                // Rows are popped at the same horizon as
+                                // entries; a missing row means the
+                                // vector just expired.
                                 None => return true,
                             }
                         }
@@ -460,7 +398,9 @@ impl Streaming {
         );
     }
 
-    /// Candidate verification (Algorithm 8).
+    /// Candidate verification (Algorithm 8), in two passes: the survivor
+    /// filter over the accumulator and the store's columns, then the
+    /// residual work for survivors only.
     ///
     /// Pruning tests use the table's decay *upper bound* (cannot lose a
     /// pair); only candidates that reach the full similarity pay the
@@ -471,23 +411,37 @@ impl Streaming {
         let policy = self.policy;
         let x = &record.vector;
         let now = record.t.seconds();
-        let sx = VectorSummary::of(x);
-        self.scratch_hits.clear();
-
-        for (id, c) in self.acc.iter() {
-            if c <= 0.0 {
-                continue;
-            }
-            let Some(meta) = self.residual.get(&id) else {
-                continue;
-            };
-            let dt = (now - meta.t).max(0.0);
-            let df_up = self.table.upper(dt);
-            if policy.prunes() && (c + meta.q) * df_up < theta_slack {
-                continue;
-            }
+        let (factors, inv_step) = self.table.lookup();
+        let front = self.store.front();
+        let filter = SurvivorFilter {
+            first: front,
+            q: self.store.q_column(),
+            t: self.store.t_column(),
+            now,
+            theta_slack,
+            factors,
+            inv_step,
+            prunes: policy.prunes(),
+        };
+        self.acc.survivors(&filter, &mut self.survivors);
+        if self.survivors.is_empty() {
+            return;
+        }
+        let sx = if policy.ap {
+            VectorSummary::of(x)
+        } else {
+            VectorSummary::default()
+        };
+        let mut scattered = false;
+        for (off, c) in self.survivors.iter() {
+            let row = self
+                .store
+                .row(front + off as u64)
+                .expect("a survivor's offset is a live row");
+            let dt = (now - row.t).max(0.0);
             if policy.ap {
-                let r = &meta.residual_summary;
+                let df_up = self.table.upper(dt);
+                let r = VectorSummary::of_weights(row.weights);
                 let ds1 = (c + (sx.max_weight * r.sum).min(r.max_weight * sx.sum)) * df_up;
                 let sz2 = (c + (sx.nnz.min(r.nnz) as f64) * sx.max_weight * r.max_weight) * df_up;
                 if ds1 < theta_slack || sz2 < theta_slack {
@@ -495,20 +449,30 @@ impl Streaming {
                 }
             }
             self.stats.full_sims += 1;
-            let dot_res = dot_sorted(
-                x.dims(),
-                x.weights(),
-                meta.residual.dims(),
-                meta.residual.weights(),
-            );
+            if !scattered {
+                scattered = true;
+                let span = x.dims().last().map_or(0, |&d| d as usize + 1);
+                if self.dense_x.len() < span {
+                    // Grown in place: swapping in a fresh zeroed buffer
+                    // instead measured +15 MiB peak RSS on a sparse,
+                    // 30 000-dimension stream (allocator placement).
+                    self.dense_x.resize(span.next_power_of_two(), 0.0);
+                }
+                for (d, w) in x.iter() {
+                    self.dense_x[d as usize] = w;
+                }
+            }
+            let dot_res = sssj_kernels::dot_dense(row.dims, row.weights, &self.dense_x);
             let sim = (c + dot_res) * self.decay.factor(dt);
             if sim >= theta {
-                self.scratch_hits.push((id, sim, dt));
+                self.stats.pairs_output += 1;
+                out.push(SimilarPair::new(row.id, record.id, sim));
             }
         }
-        for &(id, sim, _) in &self.scratch_hits {
-            self.stats.pairs_output += 1;
-            out.push(SimilarPair::new(id, record.id, sim));
+        if scattered {
+            for &d in x.dims() {
+                self.dense_x[d as usize] = 0.0;
+            }
         }
     }
 
@@ -551,8 +515,9 @@ impl Streaming {
         (None, policy.combine(b1, bt.sqrt()).min(1.0), bt)
     }
 
-    /// Appends posting entries for coordinates `boundary..` of vector
-    /// `id` at time `t`, returning how many entries were written.
+    /// Appends posting entries for coordinates `boundary..` of the row
+    /// with ordinal `ord` at time `t` to `lists`, returning how many
+    /// entries were written.
     ///
     /// `prefix_mass` is `‖x′_boundary‖²` from [`Streaming::replay_boundary`];
     /// the stored `‖x′_j‖` values continue that recurrence, so only the
@@ -561,8 +526,8 @@ impl Streaming {
     /// policies that later read `prefix_norm`; AP-family postings carry a
     /// partial value that their scans never consult.)
     fn index_suffix(
-        &mut self,
-        id: VectorId,
+        lists: &mut Vec<PostingBlock>,
+        ord: u64,
         dims: &[u32],
         weights: &[f64],
         boundary: usize,
@@ -570,20 +535,22 @@ impl Streaming {
         t: f64,
     ) -> u64 {
         let mut mass = prefix_mass;
-        let mut added = 0;
         for pos in boundary..dims.len() {
             let d = dims[pos] as usize;
-            if d >= self.lists.len() {
-                self.lists.resize_with(d + 1, PostingBlock::new);
+            if d >= lists.len() {
+                lists.resize_with(d + 1, PostingBlock::new);
             }
             let w = weights[pos];
-            self.lists[d].push(id, w, mass.sqrt(), t);
+            lists[d].push(ord, w, mass.sqrt(), t);
             mass += w * w;
-            added += 1;
         }
+        (dims.len() - boundary) as u64
+    }
+
+    /// Counts `added` new postings.
+    fn count_postings(&mut self, added: u64) {
         self.live_postings += added;
         self.stats.postings_added += added;
-        added
     }
 
     /// Re-indexes residuals with support on `dim` after `m[dim]` grew
@@ -593,44 +560,46 @@ impl Streaming {
         if d >= self.residual_inverted.len() {
             return;
         }
-        let ids = std::mem::take(&mut self.residual_inverted[d]);
-        let mut keep = Vec::new();
-        for id in ids {
-            let Some(meta) = self.residual.get(&id) else {
-                continue; // expired
-            };
-            if meta.residual.get(dim) == 0.0 {
-                continue; // already re-indexed past this dimension
-            }
-            // Copy out so the index can be mutated while replaying (an
-            // AP-only path; the allocation is off the L2 hot loop).
-            let residual = meta.residual.clone();
-            let t = meta.t;
-            let (boundary, q, mass) = self.replay_boundary(residual.dims(), residual.weights());
-            match boundary {
-                Some(p) => {
-                    let added =
-                        self.index_suffix(id, residual.dims(), residual.weights(), p, mass, t);
-                    self.stats.reindexed_vectors += 1;
-                    self.stats.reindexed_postings += added;
-                    let meta = self.residual.get_mut(&id).expect("checked above");
-                    meta.residual.truncate(p);
-                    meta.residual_summary = VectorSummary::of_weights(meta.residual.weights());
-                    meta.q = q;
-                    if meta.residual.get(dim) != 0.0 {
-                        keep.push(id);
-                    }
-                }
-                None => {
-                    // Bound still below θ: residual unchanged, but Q must
-                    // be refreshed for the grown m.
-                    let meta = self.residual.get_mut(&id).expect("checked above");
-                    meta.q = q;
-                    keep.push(id);
-                }
+        let mut ords = std::mem::take(&mut self.residual_inverted[d]);
+        let mut kept = 0;
+        for i in 0..ords.len() {
+            if self.reindex_row(ords[i], dim) {
+                ords[kept] = ords[i];
+                kept += 1;
             }
         }
-        self.residual_inverted[d] = keep;
+        ords.truncate(kept);
+        self.residual_inverted[d] = ords;
+    }
+
+    /// [`Streaming::reindex_dim`] for the row with ordinal `ord`. Returns
+    /// whether its residual still has support on `dim`.
+    fn reindex_row(&mut self, ord: u64, dim: u32) -> bool {
+        let has_dim = |dims: &[u32], weights: &[f64]| match dims.binary_search(&dim) {
+            Ok(i) => weights[i] != 0.0,
+            Err(_) => false,
+        };
+        let Some(row) = self.store.row(ord) else {
+            return false; // expired
+        };
+        if !has_dim(row.dims, row.weights) {
+            return false; // already re-indexed past this dimension
+        }
+        let (boundary, q, mass) = self.replay_boundary(row.dims, row.weights);
+        let Some(p) = boundary else {
+            // Bound still below θ: residual unchanged, but Q must be
+            // refreshed for the grown m.
+            self.store.set_q(ord, q);
+            return true;
+        };
+        let added = Self::index_suffix(&mut self.lists, ord, row.dims, row.weights, p, mass, row.t);
+        let still = has_dim(&row.dims[..p], &row.weights[..p]);
+        self.count_postings(added);
+        self.stats.reindexed_vectors += 1;
+        self.stats.reindexed_postings += added;
+        self.store.truncate_residual(ord, p);
+        self.store.set_q(ord, q);
+        still
     }
 
     /// Index construction for the arriving vector (Algorithm 6; `m` was
@@ -642,9 +611,10 @@ impl Streaming {
         }
         let t = record.t.seconds();
         let (boundary, q, mass) = self.replay_boundary(x.dims(), x.weights());
-        let indexed_any = boundary.is_some();
+        let ord = self.store.end();
         if let Some(p) = boundary {
-            self.index_suffix(record.id, x.dims(), x.weights(), p, mass, t);
+            let added = Self::index_suffix(&mut self.lists, ord, x.dims(), x.weights(), p, mass, t);
+            self.count_postings(added);
         }
         if self.policy.ap {
             // m̂λ covers the full vector (residual included), as rs1 bounds
@@ -655,32 +625,26 @@ impl Streaming {
         }
         // A fully-unindexed vector must still be tracked when AP bounds
         // are active: a later growth of m can make it indexable.
-        if !indexed_any && !self.policy.ap {
+        if boundary.is_none() && !self.policy.ap {
             return;
         }
         let blen = boundary.unwrap_or(x.nnz());
-        let mut residual = self.pool.pop().unwrap_or_default();
-        residual.assign_prefix(x, blen);
-        self.stats.residual_coords += residual.nnz() as u64;
+        let (dims, weights) = (&x.dims()[..blen], &x.weights()[..blen]);
+        self.stats.residual_coords += blen as u64;
+        let mut size = 0.0;
         if self.policy.ap {
-            for &dim in residual.dims() {
+            for &dim in dims {
                 let d = dim as usize;
                 if d >= self.residual_inverted.len() {
                     self.residual_inverted.resize_with(d + 1, Vec::new);
                 }
-                self.residual_inverted[d].push(record.id);
+                self.residual_inverted[d].push(ord);
             }
+            let s = VectorSummary::of(x);
+            size = s.nnz as f64 * s.max_weight;
         }
-        let meta = StreamMeta {
-            residual_summary: VectorSummary::of_weights(residual.weights()),
-            summary: VectorSummary::of(x),
-            q,
-            t,
-            residual,
-        };
-        if let Some(old) = self.residual.insert(record.id, meta) {
-            self.pool.push(old.residual);
-        }
+        let pushed = self.store.push(record.id, t, q, size, dims, weights);
+        debug_assert_eq!(pushed, ord);
         self.stats.observe_postings(self.live_postings);
     }
 }
@@ -697,15 +661,15 @@ impl Streaming {
     /// its earlier member.
     pub fn query(&mut self, record: &StreamRecord, out: &mut Vec<SimilarPair>) {
         let now = record.t.seconds();
-        self.prune_residuals(now);
-        // Every candidate id is alive (within the horizon), so the score
-        // window can slide up to the oldest live id. The accumulator
+        // Posting entries are pruned lazily during scans instead.
+        self.store.pop_expired(now, self.tau);
+        // Every candidate row is alive (within the horizon), so the score
+        // window can slide up to the oldest live row, which makes a
+        // slot's offset its row in the store's columns. The accumulator
         // still holds the previous query's touched set — drop it first,
         // the floor only moves when empty.
         self.acc.clear();
-        if let Some((&oldest, _)) = self.residual.front() {
-            self.acc.advance_floor(oldest);
-        }
+        self.acc.advance_floor(self.store.front());
         if self.policy.ap {
             // Update m first and restore the prefix-filter invariant, so
             // that this very query cannot miss an under-indexed vector.
@@ -959,14 +923,15 @@ mod tests {
         for i in 0..100 {
             join.process(&rec(i, i as f64, &[(i as u32 % 7, 1.0)]), &mut out);
         }
+        assert!(join.store.len() <= 2, "rows={}", join.store.len());
+        // Expired rows and their residual coordinates are reclaimed in
+        // place: with ≤ 2 live rows the store never holds more than a
+        // few.
         assert!(
-            join.residual.len() <= 2,
-            "residuals={}",
-            join.residual.len()
+            join.store.capacity() <= 8,
+            "row capacity={}",
+            join.store.capacity()
         );
-        // Buffers cycle between live metas and the free pool; with ≤ 2
-        // live residuals the pool can never accumulate more than that.
-        assert!(join.pool.len() <= 2, "pool={}", join.pool.len());
     }
 
     #[test]

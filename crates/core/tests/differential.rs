@@ -1,6 +1,6 @@
 //! Differential property tests: the optimized STR hot path (dense epoch
-//! accumulator, flat packed posting blocks, memoized decay bounds,
-//! pooled residuals) must emit exactly the same pair set as the naive
+//! accumulator, flat packed posting blocks, memoized decay bounds, the
+//! arrival-ordered row store) must emit exactly the same pair set as the naive
 //! O(n²) sliding-window baseline on random decayed streams.
 
 use proptest::prelude::*;

@@ -68,6 +68,33 @@ fn streaming_state_is_bounded_by_the_horizon() {
 }
 
 #[test]
+fn streaming_memory_is_flat_over_a_long_short_horizon_stream() {
+    // 40 000 records at one per time unit with τ ≈ 6.9: a handful of
+    // rows live at a time. Once every structure has reached its size,
+    // the estimate must not move again — expired rows and their
+    // residuals are reclaimed in place, never accumulated.
+    let records = uniform_stream(40_000, 1.0, 50);
+    for kind in [IndexKind::Inv, IndexKind::L2, IndexKind::L2ap] {
+        let mut join = Streaming::new(SssjConfig::new(0.5, 0.1), kind);
+        let mut out = Vec::new();
+        let mut settled = 0;
+        for (i, r) in records.iter().enumerate() {
+            join.process(r, &mut out);
+            out.clear();
+            if i == 3_999 {
+                settled = join.memory_bytes();
+            } else if i > 3_999 {
+                assert!(
+                    join.memory_bytes() <= settled,
+                    "{kind}: {} B at record {i}, {settled} B at record 3 999",
+                    join.memory_bytes()
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn shorter_horizon_uses_less_memory() {
     let records = uniform_stream(1_500, 1.0, 50);
     let small = peak_streaming(&records, 0.5, 0.5, IndexKind::L2);

@@ -61,6 +61,10 @@ pub fn dot_probe(sd: &[u32], sw: &[f64], ld: &[u32], lw: &[f64]) -> f64 {
 /// Dot product of a sparse vector against a dense array indexed by dim;
 /// out-of-range dims contribute zero.
 ///
+/// STR's verification runs every full similarity through it: the
+/// candidate's residual against the query scattered by dimension
+/// (`sssj_core::Streaming`), so the cost follows the residual alone.
+///
 /// The AVX2 path gathers four dense weights per step while the window's
 /// largest dim stays in range (dims are sorted, so one compare guards
 /// all four lanes); the remainder — and every dim past the dense end —

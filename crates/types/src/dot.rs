@@ -33,8 +33,8 @@ pub fn dot(a: &SparseVector, b: &SparseVector) -> Weight {
 }
 
 /// [`dot`] over raw parallel `(dims, weights)` slices (each sorted by
-/// dimension). The streaming hot path stores residuals in pooled slices
-/// rather than `SparseVector`s, and calls this directly.
+/// dimension), for callers that keep residuals as slices rather than
+/// `SparseVector`s.
 #[inline]
 pub fn dot_sorted(ad: &[DimId], aw: &[Weight], bd: &[DimId], bw: &[Weight]) -> Weight {
     let (sd, sw, ld, lw) = if ad.len() <= bd.len() {

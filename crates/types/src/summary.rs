@@ -21,7 +21,7 @@ impl VectorSummary {
         Self::of_weights(v.weights())
     }
 
-    /// Computes the summary from a raw weight slice (the pooled-residual
+    /// Computes the summary from a raw weight slice (the residual-prefix
     /// form the streaming hot path stores).
     pub fn of_weights(weights: &[Weight]) -> Self {
         let mut max_weight = 0.0f64;

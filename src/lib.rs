@@ -381,17 +381,21 @@
 //!   [`collections::PostingBlock`]s: packed 32-byte entries, O(1) front
 //!   truncation, and the backward time-filtering of §6.2 as a binary
 //!   search on the packed time field;
+//! * STR keeps `R` and `Q` in one arrival-ordered
+//!   [`collections::ArrivalStore`] keyed by row ordinal — columns plus a
+//!   FIFO residual arena, sized by the live horizon;
 //! * the candidate score array `C[ι(y)]` is a dense, epoch-stamped
-//!   [`collections::ScoreAccumulator`] sliding over the live id window —
-//!   O(1) reset, no hashing, with a spill table for arbitrary ids;
+//!   [`collections::ScoreAccumulator`] sliding over the live key window
+//!   (STR's row ordinals) — O(1) reset, no hashing, with a spill table
+//!   for arbitrary keys — and STR verifies only the slots its survivor
+//!   filter keeps over the store's `Q` and time columns;
 //! * decay factors come from a quantized upper-bound
 //!   [`types::DecayTable`] inside pruning tests (safe: a larger factor
 //!   only admits more), built from any non-increasing
 //!   [`types::DecayModel`], so STR-L2 and the generic decay engine share
 //!   one candidate pass; the exact factor is reserved for final
 //!   verification;
-//! * residual vectors live in pooled buffers recycled as vectors expire,
-//!   and index-construction bounds are replayed in squared space so the
+//! * index-construction bounds are replayed in squared space so the
 //!   per-coordinate square roots disappear.
 //!
 //! ## Benchmarks
