@@ -9,10 +9,10 @@ use sssj_types::{dot, DecayModel, SimilarPair, StreamRecord};
 /// window of the model's horizon `τ(θ)` and comparing each arrival against
 /// everything in it.
 ///
-/// The ground truth for [`sssj_core`'s generic `DecayStreaming`] and the
+/// The ground truth for [`sssj_core`'s `Streaming::with_decay`] and the
 /// naive baseline of the decay-model benches.
 ///
-/// [`sssj_core`'s generic `DecayStreaming`]: https://docs.rs/sssj-core
+/// [`sssj_core`'s `Streaming::with_decay`]: https://docs.rs/sssj-core
 pub fn brute_force_stream_model(
     records: &[StreamRecord],
     theta: f64,

@@ -7,7 +7,7 @@
 //! `rs2·f(Δt)` kill distant candidates early).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sssj_core::{DecayStreaming, StreamJoin};
+use sssj_core::{DecaySpec, StreamJoin, Streaming};
 use sssj_data::{generate, preset, Preset};
 use sssj_types::DecayModel;
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
 
     for (label, model) in models {
         assert!((model.horizon(theta) - tau).abs() < 1e-6, "{label}");
-        let mut join = DecayStreaming::new(theta, model);
+        let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
         let mut out = Vec::new();
         for r in &stream {
             join.process(r, &mut out);
@@ -48,7 +48,7 @@ fn bench(c: &mut Criterion) {
     for (label, model) in models {
         g.bench_with_input(BenchmarkId::new("STR-L2", label), &model, |b, &model| {
             b.iter(|| {
-                let mut join = DecayStreaming::new(theta, model);
+                let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
                 let mut out = Vec::new();
                 for r in &stream {
                     join.process(r, &mut out);

@@ -3,7 +3,7 @@
 //! `experiments.rs` — a text table on stdout plus an optional CSV.
 
 use sssj_baseline::{brute_force_stream, count_window_recall};
-use sssj_core::{DecayStreaming, MiniBatch, SssjConfig, StreamJoin, Streaming};
+use sssj_core::{DecaySpec, MiniBatch, SssjConfig, StreamJoin, Streaming};
 use sssj_data::Preset;
 use sssj_index::IndexKind;
 use sssj_lsh::{measure_accuracy, LshParams};
@@ -83,7 +83,7 @@ impl Experiments {
         for p in [Preset::Rcv1, Preset::Blogs] {
             let records = self.dataset_records(p);
             for model in models {
-                let mut join = DecayStreaming::new(theta, model);
+                let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
                 let watch = Stopwatch::start();
                 let mut out = Vec::new();
                 for r in &records {

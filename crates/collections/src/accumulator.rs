@@ -23,7 +23,7 @@
 //!
 //! # The list pass
 //!
-//! STR-L2 and the decay engine (`sssj_core::DecayStreaming`) spend most
+//! STR-L2 under any decay model (`sssj_core::Streaming`) spends most
 //! of a dense record in [`ScoreAccumulator::accumulate_l2_list_rev`]:
 //! one newest-first pass over a time-ordered posting list that computes
 //! each posting's decay bound (from the engine's quantized decay table),

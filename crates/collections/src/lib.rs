@@ -16,8 +16,6 @@
 //!   `id`/`t`/`Q` columns and a FIFO arena of residual coordinates,
 //!   pruned from the front in amortised O(1) and sized by the live
 //!   horizon;
-//! * [`LinkedHashMap`] — a hash map threaded with an insertion-order list,
-//!   the same index keyed by vector id for the decay engine;
 //! * [`DecayedMaxVec`] — the lazily-decayed per-dimension running maximum
 //!   `m̂λ` (exact for uniform exponential decay), plus the plain running
 //!   maximum [`MaxVector`] `m` used by the AP-family bounds;
@@ -49,7 +47,6 @@ pub mod arrival;
 pub mod bloom;
 pub mod decayed_max;
 pub mod hash;
-pub mod linked_hash;
 pub mod max_vector;
 pub mod posting;
 pub mod timed_block;
@@ -61,7 +58,6 @@ pub use arrival::{ArrivalStore, Row};
 pub use bloom::BloomFilter;
 pub use decayed_max::DecayedMaxVec;
 pub use hash::{FxBuildHasher, FxHasher};
-pub use linked_hash::LinkedHashMap;
 pub use max_vector::MaxVector;
 pub use posting::{PackedPosting, PostingBlock};
 pub use timed_block::{TimedBlock, TimedEntry};

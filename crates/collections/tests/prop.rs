@@ -6,81 +6,12 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use sssj_collections::{
-    Accumulated, ArrivalStore, DecayedMaxVec, LinkedHashMap, PackedPosting, ScoreAccumulator,
-    SurvivorFilter, Survivors,
+    Accumulated, ArrivalStore, DecayedMaxVec, PackedPosting, ScoreAccumulator, SurvivorFilter,
+    Survivors,
 };
 use sssj_kernels::{active_lane, force_lane, l2_candidate_batch, L2BatchParams, Lane};
 
-#[derive(Clone, Debug)]
-enum MapOp {
-    Insert(u16, u64),
-    Remove(u16),
-    PopFront,
-}
-
-fn map_op() -> impl Strategy<Value = MapOp> {
-    prop_oneof![
-        4 => (any::<u16>(), any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
-        2 => any::<u16>().prop_map(MapOp::Remove),
-        1 => Just(MapOp::PopFront),
-    ]
-}
-
-/// Reference model: association list preserving insertion order.
-#[derive(Default)]
-struct ModelMap {
-    entries: Vec<(u16, u64)>,
-}
-
-impl ModelMap {
-    fn insert(&mut self, k: u16, v: u64) -> Option<u64> {
-        for e in &mut self.entries {
-            if e.0 == k {
-                return Some(std::mem::replace(&mut e.1, v));
-            }
-        }
-        self.entries.push((k, v));
-        None
-    }
-
-    fn remove(&mut self, k: u16) -> Option<u64> {
-        let pos = self.entries.iter().position(|e| e.0 == k)?;
-        Some(self.entries.remove(pos).1)
-    }
-
-    fn pop_front(&mut self) -> Option<(u16, u64)> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(self.entries.remove(0))
-        }
-    }
-}
-
 proptest! {
-    /// LinkedHashMap behaves like an insertion-ordered association list.
-    #[test]
-    fn linked_hash_map_matches_model(ops in proptest::collection::vec(map_op(), 0..300)) {
-        let mut sys: LinkedHashMap<u16, u64> = LinkedHashMap::new();
-        let mut model = ModelMap::default();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    prop_assert_eq!(sys.insert(k, v), model.insert(k, v));
-                }
-                MapOp::Remove(k) => {
-                    prop_assert_eq!(sys.remove(&k), model.remove(k));
-                }
-                MapOp::PopFront => {
-                    prop_assert_eq!(sys.pop_front(), model.pop_front());
-                }
-            }
-            prop_assert_eq!(sys.len(), model.entries.len());
-        }
-        let got: Vec<(u16, u64)> = sys.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, model.entries);
-    }
-
     /// DecayedMaxVec equals the brute-force decayed maximum at any later
     /// query time.
     #[test]

@@ -80,17 +80,18 @@ impl StreamJoin for Box<dyn StreamJoin> {
 ///
 /// * **aux state** that accumulates beyond the replay horizon (the STR
 ///   running-max vector `m`, which steers indexing decisions for all
-///   future records — see [`crate::Streaming::seed_max`]); engines with
-///   none (MiniBatch, generic decay) write an empty blob;
+///   future records — see [`crate::Streaming::seed_max`]; empty for
+///   non-AP indexes and for [`crate::Streaming::with_decay`]); engines
+///   with none (MiniBatch) write an empty blob;
 /// * the set of **recently emitted pairs**, so replay can suppress
 ///   output that was already delivered before the checkpoint (the
 ///   exactly-once half of recovery; see `sssj-store`'s crate docs for
 ///   the correctness argument).
 ///
-/// Implemented by [`crate::Streaming`], [`crate::MiniBatch`],
-/// [`crate::DecayStreaming`] and (in `sssj-parallel`) the sharded
-/// driver, which captures aux per shard at a batch boundary so the cut
-/// is consistent.
+/// Implemented by [`crate::Streaming`] (every decay model, see
+/// [`crate::Streaming::with_decay`]), [`crate::MiniBatch`] and (in
+/// `sssj-parallel`) the sharded driver, which captures aux per shard at
+/// a batch boundary so the cut is consistent.
 pub trait Checkpointable: StreamJoin {
     /// Serialises the engine-specific aux state (empty when the engine
     /// has none). Takes `&mut self` because asynchronous engines (the

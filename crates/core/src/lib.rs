@@ -55,7 +55,6 @@ pub mod advisor;
 pub mod algorithm;
 pub mod api;
 pub mod config;
-pub mod decay_join;
 pub mod latency;
 pub mod minibatch;
 pub mod reorder;
@@ -73,7 +72,6 @@ pub use algorithm::{
 };
 pub use api::{JoinBuilder, PairIter};
 pub use config::SssjConfig;
-pub use decay_join::DecayStreaming;
 pub use latency::{measure_report_delay, DelayStats};
 pub use minibatch::MiniBatch;
 pub use reorder::{LateRecord, ReorderBuffer};

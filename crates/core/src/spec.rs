@@ -112,7 +112,6 @@ use sssj_types::{Decay, DecayModel};
 
 use crate::algorithm::{Checkpointable, Framework, ShardableJoin, StreamJoin};
 use crate::config::SssjConfig;
-use crate::decay_join::DecayStreaming;
 use crate::minibatch::MiniBatch;
 use crate::reorder::ReorderBuffer;
 use crate::streaming::Streaming;
@@ -156,9 +155,10 @@ impl Default for LshSpec {
     }
 }
 
-/// Decay-engine tuning carried by a spec: the model plus whether
-/// candidate generation uses the windowed-max `rs1w` bound (`bounds=wmax`,
-/// the default) or only the ℓ2 bounds (`bounds=l2`, the ablation the
+/// Decay-engine tuning carried by a spec and taken by
+/// [`Streaming::with_decay`]: the model plus whether candidate generation
+/// uses the windowed-max `rs1w` bound (`bounds=wmax`, the default) or
+/// only the ℓ2 bounds (`bounds=l2`, the ablation the
 /// `ablation_decay_bounds` bench measures). Output is identical either
 /// way; only the pruning work changes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -951,11 +951,9 @@ impl JoinSpec {
             EngineSpec::MiniBatch => {
                 Engine::Core(Box::new(MiniBatch::new(self.config(), self.index)))
             }
-            EngineSpec::GenericDecay(d) => Engine::Core(Box::new(DecayStreaming::with_options(
-                self.theta,
-                d.model,
-                d.window_max,
-            ))),
+            EngineSpec::GenericDecay(d) => {
+                Engine::Core(Box::new(Streaming::with_decay(self.theta, *d)))
+            }
             EngineSpec::TopK(k) => Engine::Plain(Box::new(TopKJoin::new(
                 self.config(),
                 self.index,

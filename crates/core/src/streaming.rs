@@ -41,6 +41,14 @@
 //!   [`DecayTable`] inside all *pruning* tests (safe: a larger factor
 //!   prunes less) and computed exactly only for the final similarity of
 //!   surviving candidates;
+//! * any other [`DecayModel`] (§8: `f(0) = 1`, non-increasing, a finite
+//!   horizon `τ(θ)`) runs the same STR-L2 path
+//!   ([`Streaming::with_decay`]): the table, the horizon and the exact
+//!   factor come from the model. Its `m̂λ` has no generic counterpart (it
+//!   needs the exponential's semigroup property), so an optional
+//!   *undecayed* windowed maximum ([`WindowedMaxVec`]) bounds
+//!   `dot(x, y) ≤ rs1w = Σ_j x_j·max_window(j)` instead, and vetoes a
+//!   list's new candidates by passing `rs2 = −∞` once `rs1w < θ`;
 //! * the index-construction bounds are replayed in squared space (no
 //!   per-coordinate square root), and the stored `‖y′_j‖` prefix norms
 //!   continue that recurrence so only indexed suffixes pay a `sqrt`;
@@ -61,16 +69,17 @@
 
 use sssj_collections::{
     ArrivalStore, DecayedMaxVec, MaxVector, PackedPosting, PostingBlock, ScoreAccumulator,
-    SurvivorFilter, Survivors,
+    SurvivorFilter, Survivors, WindowedMaxVec,
 };
 use sssj_kernels::L2BatchParams;
 use sssj_metrics::JoinStats;
-use sssj_types::{Decay, DecayTable, SimilarPair, SparseVector, StreamRecord, VectorSummary};
+use sssj_types::{DecayModel, DecayTable, SimilarPair, SparseVector, StreamRecord, VectorSummary};
 
 use sssj_index::{BoundPolicy, IndexKind};
 
 use crate::algorithm::{ShardableJoin, StreamJoin};
 use crate::config::SssjConfig;
+use crate::spec::DecaySpec;
 
 /// Float guard for threshold comparisons: pruning tests are slackened by
 /// this amount (prune *less*), so accumulated rounding can never cause a
@@ -83,7 +92,7 @@ const PRUNE_EPS: f64 = 1e-12;
 /// metadata (and the brute-force oracle) expire by. The naive `now − τ`
 /// can land an ulp either side of that edge, and a posting would then
 /// die while its vector still pairs (`tests/horizon_boundary.rs`).
-pub(crate) fn horizon_cutoff(now: f64, tau: f64) -> f64 {
+fn horizon_cutoff(now: f64, tau: f64) -> f64 {
     let inside = |c: f64| now - c <= tau;
     let c = now - tau;
     if !c.is_finite() || (inside(c) && !inside(c.next_down())) {
@@ -126,13 +135,18 @@ pub(crate) fn horizon_cutoff(now: f64, tau: f64) -> f64 {
 ///   out-of-order entries. Lists are therefore scanned *forwards* with an
 ///   in-place compaction, dropping expired entries as they are met.
 pub struct Streaming {
-    config: SssjConfig,
+    theta: f64,
     kind: IndexKind,
     policy: BoundPolicy,
-    decay: Decay,
+    /// The decay model; its exact factor scores verified candidates.
+    model: DecayModel,
     /// Quantized upper bounds on the decay factor (pruning only).
     table: DecayTable,
     tau: f64,
+    /// The window-max bound `rs1w` (`with_decay` with `bounds=wmax`).
+    window_max: Option<WindowedMaxVec>,
+    /// Built by [`Streaming::with_decay`]: the name shows the model.
+    generic: bool,
     /// Whether posting lists are guaranteed time-ordered (no re-indexing).
     time_ordered: bool,
     /// Posting lists by dimension; a posting's id word is its row's
@@ -163,21 +177,73 @@ pub struct Streaming {
 impl Streaming {
     /// Creates an STR join with the given index variant.
     pub fn new(config: SssjConfig, kind: IndexKind) -> Self {
+        Self::build(config.theta, kind, config.decay().into(), false)
+    }
+
+    /// STR-L2 under any [`DecayModel`] (§8 future work): the `decay`
+    /// engine. The L2 index's pruning bounds depend only on the query and
+    /// the candidate, so they carry over to any `f(Δt) ≤ 1` that is
+    /// non-increasing with a finite horizon; `decay.window_max` turns on
+    /// the window-max bound `rs1w` (`bounds=wmax`), which changes the
+    /// pruning work, never the output.
+    ///
+    /// Panics when the model has an infinite horizon at this `θ`
+    /// (exponential with `λ = 0`): the streaming join needs a finite
+    /// forgetting horizon to bound memory.
+    ///
+    /// ```
+    /// use sssj_core::{DecaySpec, StreamJoin, Streaming};
+    /// use sssj_types::{vector::unit_vector, DecayModel, StreamRecord, Timestamp};
+    ///
+    /// // Hard 10-second sliding window, θ = 0.7.
+    /// let window = DecaySpec::new(DecayModel::sliding_window(10.0));
+    /// let mut join = Streaming::with_decay(0.7, window);
+    /// let mut out = Vec::new();
+    /// for (id, t) in [(0, 0.0), (1, 9.0), (2, 25.0)] {
+    ///     let r = StreamRecord::new(id, Timestamp::new(t), unit_vector(&[(1, 1.0)]));
+    ///     join.process(&r, &mut out);
+    /// }
+    /// // 0–1 are 9 s apart (inside the window, undecayed similarity 1.0);
+    /// // 2 is 16 s after 1, outside.
+    /// assert_eq!(out.len(), 1);
+    /// assert_eq!((out[0].left, out[0].right), (0, 1));
+    /// assert_eq!(join.name(), "STR-L2[window:10]");
+    /// ```
+    pub fn with_decay(theta: f64, decay: DecaySpec) -> Self {
+        let model = decay.model;
+        assert!(
+            model.horizon(theta).is_finite(),
+            "decay model {model} has an infinite horizon at θ={theta}; \
+             streaming requires a finite forgetting horizon"
+        );
+        let mut join = Self::build(theta, IndexKind::L2, model, decay.window_max);
+        join.generic = true;
+        join
+    }
+
+    fn build(theta: f64, kind: IndexKind, model: DecayModel, window_max: bool) -> Self {
         let policy = kind.policy();
-        let decay = config.decay();
-        let tau = config.tau();
+        let tau = model.horizon(theta);
+        // AP bounds run only under the exponential (`with_decay` fixes
+        // the index to L2): `m̂λ` rests on its semigroup property.
+        let lambda = match model {
+            DecayModel::Exponential { lambda } => lambda,
+            _ => 0.0,
+        };
         Streaming {
-            config,
+            theta,
             kind,
             policy,
-            decay,
-            table: DecayTable::new(decay.into(), tau),
+            model,
+            table: DecayTable::new(model, tau),
             tau,
+            window_max: window_max.then(|| WindowedMaxVec::new(tau.max(f64::MIN_POSITIVE))),
+            generic: false,
             time_ordered: !policy.ap,
             lists: Vec::new(),
             store: ArrivalStore::new(),
             m: MaxVector::new(),
-            mhat_lambda: DecayedMaxVec::new(config.lambda),
+            mhat_lambda: DecayedMaxVec::new(lambda),
             residual_inverted: Vec::new(),
             acc: ScoreAccumulator::new(),
             survivors: Survivors::new(),
@@ -187,14 +253,14 @@ impl Streaming {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> SssjConfig {
-        self.config
-    }
-
     /// The index variant.
     pub fn kind(&self) -> IndexKind {
         self.kind
+    }
+
+    /// The decay model's horizon `τ(θ)`.
+    pub fn tau(&self) -> f64 {
+        self.tau
     }
 
     /// Estimated heap footprint of the live join state, in bytes.
@@ -238,7 +304,7 @@ impl Streaming {
         let cand0 = self.stats.candidates;
         let ent0 = self.stats.entries_traversed;
         let mut trace_span = sssj_metrics::trace::span(sssj_metrics::trace::Stage::Candidates);
-        let theta = self.config.theta;
+        let theta = self.theta;
         let theta_slack = theta - PRUNE_EPS;
         let policy = self.policy;
         let tau = self.tau;
@@ -261,10 +327,18 @@ impl Streaming {
         } else {
             f64::INFINITY
         };
+        // rs1w = Σ_j x_j · max over the window of coordinate j (the
+        // window-max bound, ∞ when off), shrunk as the scan passes each
+        // dimension like rs1.
+        let mut rs1w = match &mut self.window_max {
+            Some(wm) => x.iter().map(|(d, w)| w * wm.max(d, now)).sum::<f64>(),
+            None => f64::INFINITY,
+        };
         let mut rst: f64 = 1.0;
         let mut rs2 = if policy.l2 { 1.0 } else { f64::INFINITY };
 
         let time_ordered = self.time_ordered;
+        let window_max = &mut self.window_max;
         let lists = &mut self.lists;
         let store = &self.store;
         let acc = &mut self.acc;
@@ -313,13 +387,19 @@ impl Streaming {
                         // them to the accumulator. The early ℓ2 prune
                         // (Cauchy–Schwarz on the unscanned prefixes,
                         // decayed) is folded into the per-entry
-                        // threshold `θₛ − ‖x′‖·pn·df`.
+                        // threshold `θₛ − ‖x′‖·pn·df`. The window-max
+                        // conjunct `min(rs1w, rs2·df) ≥ θₛ ⟺ rs1w ≥ θₛ ∧
+                        // rs2·df ≥ θₛ` vetoes with `rs2 = −∞`.
                         let (factors, inv_step) = table.lookup();
                         let params = L2BatchParams {
                             xj,
                             now,
                             xnorm_before,
-                            rs2,
+                            rs2: if rs1w >= theta_slack {
+                                rs2
+                            } else {
+                                f64::NEG_INFINITY
+                            },
                             theta_slack,
                             inv_step,
                         };
@@ -387,6 +467,11 @@ impl Streaming {
             if policy.ap {
                 rs1 -= xj * mhat_lambda.get(dim, now);
             }
+            if let Some(wm) = window_max.as_mut() {
+                if rs1w.is_finite() {
+                    rs1w -= xj * wm.max(dim, now);
+                }
+            }
             if policy.l2 {
                 rst -= xj * xj;
                 rs2 = rst.max(0.0).sqrt();
@@ -404,9 +489,9 @@ impl Streaming {
     ///
     /// Pruning tests use the table's decay *upper bound* (cannot lose a
     /// pair); only candidates that reach the full similarity pay the
-    /// exact `exp`.
+    /// model's exact factor.
     fn candidate_verification(&mut self, record: &StreamRecord, out: &mut Vec<SimilarPair>) {
-        let theta = self.config.theta;
+        let theta = self.theta;
         let theta_slack = theta - PRUNE_EPS;
         let policy = self.policy;
         let x = &record.vector;
@@ -463,7 +548,7 @@ impl Streaming {
                 }
             }
             let dot_res = sssj_kernels::dot_dense(row.dims, row.weights, &self.dense_x);
-            let sim = (c + dot_res) * self.decay.factor(dt);
+            let sim = (c + dot_res) * self.model.factor(dt);
             if sim >= theta {
                 self.stats.pairs_output += 1;
                 out.push(SimilarPair::new(row.id, record.id, sim));
@@ -488,7 +573,7 @@ impl Streaming {
     /// `√bt ≥ θ`), so the per-coordinate square root disappears; the one
     /// `sqrt` for the `Q` bound is paid only at the crossing.
     fn replay_boundary(&self, dims: &[u32], weights: &[f64]) -> (Option<usize>, f64, f64) {
-        let theta_slack = self.config.theta - PRUNE_EPS;
+        let theta_slack = self.theta - PRUNE_EPS;
         let theta_sq = theta_slack * theta_slack;
         let policy = self.policy;
         let mut b1: f64 = 0.0;
@@ -610,6 +695,13 @@ impl Streaming {
             return;
         }
         let t = record.t.seconds();
+        if let Some(wm) = &mut self.window_max {
+            // Updated on insert only: it bounds dot products against
+            // *indexed* candidates, so query-only records never raise it.
+            for (dim, w) in x.iter() {
+                wm.update(dim, t, w);
+            }
+        }
         let (boundary, q, mass) = self.replay_boundary(x.dims(), x.weights());
         let ord = self.store.end();
         if let Some(p) = boundary {
@@ -730,7 +822,7 @@ impl ShardableJoin for Streaming {
         }
     }
 
-    /// Postings (and residual coordinates) expire at `τ = ln(1/θ)/λ`, and
+    /// Postings (and residual coordinates) expire at the horizon `τ(θ)`, and
     /// candidate generation only matches on shared dimensions, so a shard
     /// whose in-horizon inserts share no dimension with the query cannot
     /// produce a pair.
@@ -751,12 +843,18 @@ impl ShardableJoin for Streaming {
 impl crate::algorithm::Checkpointable for Streaming {
     /// Aux = the AP running-max vector `m`, the one structure that
     /// accumulates beyond the horizon (empty for non-AP indexes, where
-    /// [`Streaming::max_entries`] returns nothing).
+    /// [`Streaming::max_entries`] returns nothing). The window-max bound
+    /// covers only in-horizon records, which WAL replay rebuilds.
     fn write_aux(&mut self, out: &mut Vec<u8>) {
         ShardableJoin::checkpoint_aux(self, out);
     }
 
+    /// An empty blob reads as "no maxima": `decay` stores written while
+    /// that engine was a type of its own carry one.
     fn read_aux(&mut self, bytes: &[u8]) -> Result<(), String> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
         ShardableJoin::seed_checkpoint_aux(self, bytes)
     }
 
@@ -785,7 +883,11 @@ impl StreamJoin for Streaming {
     }
 
     fn name(&self) -> String {
-        format!("STR-{}", self.kind)
+        if self.generic {
+            format!("STR-L2[{}]", self.model)
+        } else {
+            format!("STR-{}", self.kind)
+        }
     }
 }
 
@@ -956,5 +1058,134 @@ mod tests {
     fn name_includes_kind() {
         let join = Streaming::new(SssjConfig::new(0.5, 0.1), IndexKind::L2);
         assert_eq!(join.name(), "STR-L2");
+    }
+
+    fn random_stream(seed: u64, n: usize) -> Vec<StreamRecord> {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut t = 0.0;
+        (0..n as u64)
+            .map(|i| {
+                t += rng.random_range(0.0..1.0);
+                let entries: Vec<(u32, f64)> = (0..rng.random_range(1..6))
+                    .map(|_| (rng.random_range(0..12u32), rng.random_range(0.1..1.0)))
+                    .collect();
+                rec(i, t, &entries)
+            })
+            .collect()
+    }
+
+    fn run_join(join: &mut Streaming, stream: &[StreamRecord]) -> Vec<(u64, u64)> {
+        let mut keys: Vec<_> = crate::run_stream(join, stream)
+            .iter()
+            .map(|p| p.key())
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    const MODELS: [DecayModel; 4] = [
+        DecayModel::Exponential { lambda: 0.2 },
+        DecayModel::SlidingWindow { window: 4.0 },
+        DecayModel::Linear { window: 8.0 },
+        DecayModel::Polynomial {
+            alpha: 1.5,
+            scale: 2.0,
+        },
+    ];
+
+    #[test]
+    fn matches_oracle_for_every_model() {
+        for seed in [3, 17] {
+            let stream = random_stream(seed, 250);
+            for model in MODELS {
+                for theta in [0.5, 0.8] {
+                    let mut oracle: Vec<_> =
+                        sssj_baseline::brute_force_stream_model(&stream, theta, model)
+                            .iter()
+                            .map(|p| p.key())
+                            .collect();
+                    oracle.sort_unstable();
+                    let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
+                    assert_eq!(
+                        run_join(&mut join, &stream),
+                        oracle,
+                        "{model} θ={theta} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exponential_model_matches_str_l2() {
+        let stream = random_stream(42, 300);
+        let (theta, lambda) = (0.6, 0.15);
+        let exp = DecaySpec::new(DecayModel::exponential(lambda));
+        assert_eq!(
+            run_join(&mut Streaming::with_decay(theta, exp), &stream),
+            run(IndexKind::L2, SssjConfig::new(theta, lambda), &stream)
+        );
+    }
+
+    #[test]
+    fn window_max_ablation_preserves_output() {
+        let stream = random_stream(9, 250);
+        for model in MODELS {
+            let mut with = Streaming::with_decay(0.55, DecaySpec::new(model));
+            let mut without = Streaming::with_decay(
+                0.55,
+                DecaySpec {
+                    model,
+                    window_max: false,
+                },
+            );
+            assert_eq!(
+                run_join(&mut with, &stream),
+                run_join(&mut without, &stream),
+                "{model}"
+            );
+            // The extra bound can only reduce admitted candidates.
+            assert!(
+                with.stats().candidates <= without.stats().candidates,
+                "{model}: {} > {}",
+                with.stats().candidates,
+                without.stats().candidates
+            );
+        }
+    }
+
+    #[test]
+    fn sliding_window_reports_undecayed_similarity() {
+        let window = DecaySpec::new(DecayModel::sliding_window(10.0));
+        let mut join = Streaming::with_decay(0.9, window);
+        let stream = vec![rec(0, 0.0, &[(1, 1.0)]), rec(1, 9.5, &[(1, 1.0)])];
+        let out = crate::run_stream(&mut join, &stream);
+        assert_eq!(out.len(), 1);
+        assert!((out[0].similarity - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn postings_are_truncated_at_model_horizon() {
+        let mut join = Streaming::with_decay(0.5, DecaySpec::new(DecayModel::linear(2.0)));
+        assert!((join.tau() - 1.0).abs() < 1e-12); // 2·(1−0.5)
+        let mut out = Vec::new();
+        for i in 0..40 {
+            join.process(&rec(i, i as f64 * 3.0, &[(1, 1.0)]), &mut out);
+        }
+        assert!(out.is_empty());
+        assert!(join.live_postings() <= 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "infinite horizon")]
+    fn infinite_horizon_rejected() {
+        Streaming::with_decay(0.5, DecaySpec::new(DecayModel::exponential(0.0)));
+    }
+
+    #[test]
+    fn name_mentions_model() {
+        let poly = DecaySpec::new(DecayModel::polynomial(2.0, 3.0));
+        assert_eq!(Streaming::with_decay(0.5, poly).name(), "STR-L2[poly:2:3]");
     }
 }

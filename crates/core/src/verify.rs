@@ -6,7 +6,7 @@
 //! aid for downstream users integrating custom pipelines, not a
 //! production configuration.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use sssj_metrics::JoinStats;
 use sssj_types::{dot, Decay, SimilarPair, StreamRecord};
@@ -27,11 +27,24 @@ pub struct CheckedJoin {
     tau: f64,
     window: VecDeque<StreamRecord>,
     /// Pairs the inner join owes us (completed but possibly buffered,
-    /// e.g. by MiniBatch).
-    owed: HashSet<(u64, u64)>,
+    /// e.g. by MiniBatch), counted per key: an id that arrives twice
+    /// names two vectors, and each arrival pairs on its own.
+    owed: HashMap<(u64, u64), u32>,
     /// Pairs whose similarity sits within [`BOUNDARY_SLACK`] of θ —
     /// reporting them is acceptable either way.
-    optional: HashSet<(u64, u64)>,
+    optional: HashMap<(u64, u64), u32>,
+}
+
+/// Takes one pair off `key`'s count; false when none is left.
+fn take(counts: &mut HashMap<(u64, u64), u32>, key: (u64, u64)) -> bool {
+    match counts.get_mut(&key) {
+        Some(n) if *n > 1 => *n -= 1,
+        Some(_) => {
+            counts.remove(&key);
+        }
+        None => return false,
+    }
+    true
 }
 
 impl CheckedJoin {
@@ -43,14 +56,14 @@ impl CheckedJoin {
             decay: config.decay(),
             tau: config.tau(),
             window: VecDeque::new(),
-            owed: HashSet::new(),
-            optional: HashSet::new(),
+            owed: HashMap::new(),
+            optional: HashMap::new(),
         }
     }
 
     fn settle(&mut self, reported: &[SimilarPair]) {
         for p in reported {
-            if !self.owed.remove(&p.key()) && !self.optional.remove(&p.key()) {
+            if !take(&mut self.owed, p.key()) && !take(&mut self.optional, p.key()) {
                 panic!(
                     "{}: reported pair {:?} (sim {}) the oracle never expected",
                     self.inner.name(),
@@ -78,11 +91,11 @@ impl StreamJoin for CheckedJoin {
                 .apply(dot(&record.vector, &old.vector), record.t.delta(old.t));
             let key = (old.id.min(record.id), old.id.max(record.id));
             if sim >= self.config.theta + BOUNDARY_SLACK {
-                self.owed.insert(key);
+                *self.owed.entry(key).or_default() += 1;
             } else if sim >= self.config.theta - BOUNDARY_SLACK {
                 // Within float slack of the threshold: either outcome is
                 // acceptable.
-                self.optional.insert(key);
+                *self.optional.entry(key).or_default() += 1;
             }
         }
         self.window.push_back(record.clone());
@@ -102,12 +115,12 @@ impl StreamJoin for CheckedJoin {
         // Every clearly-similar pair must have been reported by now;
         // unreported boundary pairs are fine.
         if !self.owed.is_empty() {
-            let mut missing: Vec<_> = self.owed.iter().copied().collect();
+            let mut missing: Vec<_> = self.owed.keys().copied().collect();
             missing.sort_unstable();
             panic!(
                 "{}: {} expected pairs never reported, e.g. {:?}",
                 self.inner.name(),
-                missing.len(),
+                self.owed.values().sum::<u32>(),
                 &missing[..missing.len().min(5)]
             );
         }

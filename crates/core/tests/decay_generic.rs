@@ -1,10 +1,10 @@
 //! Property tests for the generalised-decay streaming join: for every
-//! decay model, [`DecayStreaming`] must produce exactly the brute-force
-//! oracle output on randomised streams.
+//! decay model, [`Streaming::with_decay`] must produce exactly the
+//! brute-force oracle output on randomised streams.
 
 use proptest::prelude::*;
 use sssj_baseline::brute_force_stream_model;
-use sssj_core::{DecayStreaming, StreamJoin};
+use sssj_core::{DecaySpec, StreamJoin, Streaming};
 use sssj_types::{DecayModel, SimilarPair, SparseVectorBuilder, StreamRecord, Timestamp};
 
 fn stream(n: usize, dims: u32, max_nnz: usize) -> impl Strategy<Value = Vec<StreamRecord>> {
@@ -83,7 +83,7 @@ proptest! {
         theta in 0.3f64..0.95,
     ) {
         let oracle = brute_force_stream_model(&stream, theta, model);
-        let mut join = DecayStreaming::new(theta, model);
+        let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
         let mut got = Vec::new();
         for r in &stream {
             join.process(r, &mut got);
@@ -101,8 +101,8 @@ proptest! {
         model in model_strategy(),
         theta in 0.3f64..0.95,
     ) {
-        let mut with = DecayStreaming::with_options(theta, model, true);
-        let mut without = DecayStreaming::with_options(theta, model, false);
+        let mut with = Streaming::with_decay(theta, DecaySpec::new(model));
+        let mut without = Streaming::with_decay(theta, DecaySpec { model, window_max: false });
         let mut a = Vec::new();
         let mut b = Vec::new();
         for r in &stream {
@@ -123,7 +123,7 @@ proptest! {
         model in model_strategy(),
         theta in 0.3f64..0.9,
     ) {
-        let mut join = DecayStreaming::new(theta, model);
+        let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
         let mut got = Vec::new();
         for r in &stream {
             join.process(r, &mut got);

@@ -1,20 +1,25 @@
 //! A vector id that arrives twice names two vectors. The brute-force
-//! oracle pairs each arrival on its own, and so must every STR index:
-//! one pair per arrival, each with its own similarity, never one merged
-//! pair scoring the sum of both.
+//! oracle pairs each arrival on its own, and so must every STR index and
+//! the decay engine: one pair per arrival, each with its own similarity,
+//! never one merged pair scoring the sum of both.
 
 use rand::{RngExt, SeedableRng};
 use sssj_baseline::brute_force_stream;
 use sssj_core::{run_stream, JoinSpec};
 use sssj_types::{vector::unit_vector, SimilarPair, StreamRecord, Timestamp};
 
-/// Every STR index, and STR-L2 behind a reorder buffer.
-const SPECS: [(&str, &str); 5] = [
-    ("str-inv", ""),
-    ("str-ap", ""),
-    ("str-l2ap", ""),
-    ("str-l2", ""),
-    ("str-l2", "&reorder=2"),
+/// Every STR index, STR-L2 behind a reorder buffer and under the online
+/// oracle check, and the decay engine under the exponential model with
+/// and without its window-max bound. `{l}` stands for λ.
+const SPECS: [&str; 8] = [
+    "str-inv?lambda={l}",
+    "str-ap?lambda={l}",
+    "str-l2ap?lambda={l}",
+    "str-l2?lambda={l}",
+    "str-l2?lambda={l}&reorder=2",
+    "str-l2?lambda={l}&checked",
+    "decay?model=exp:{l}",
+    "decay?model=exp:{l}&bounds=l2",
 ];
 
 fn rec(id: u64, t: f64, dims: &[u32]) -> StreamRecord {
@@ -36,8 +41,11 @@ fn sorted(pairs: &[SimilarPair], theta: f64) -> Vec<(u64, u64, f64)> {
 
 fn assert_matches_oracle(records: &[StreamRecord], theta: f64, lambda: f64) {
     let want = sorted(&brute_force_stream(records, theta, lambda), theta);
-    for (base, extra) in SPECS {
-        let spec = format!("{base}?theta={theta}&lambda={lambda}{extra}");
+    for template in SPECS {
+        let spec = format!(
+            "{}&theta={theta}",
+            template.replace("{l}", &lambda.to_string())
+        );
         let parsed: JoinSpec = spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"));
         let mut join = parsed.build().expect("spec builds");
         let got = sorted(&run_stream(join.as_mut(), records), theta);

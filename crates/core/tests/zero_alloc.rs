@@ -1,7 +1,9 @@
 //! Steady-state allocation audit: after warm-up, the STR-L2 loop must
-//! process records with **zero** heap allocations — the pooled residuals,
-//! epoch accumulator, flat packed posting blocks and owned scratch
-//! buffers together leave nothing to allocate per record.
+//! process records with **zero** heap allocations — under the
+//! exponential and under a generic decay model alike. The arrival-ordered
+//! row store (compacted in place), the epoch accumulator, the flat packed
+//! posting blocks, the window-max deques and the owned scratch buffers
+//! reach their size and stay there.
 //!
 //! The binary installs a counting wrapper around the system allocator;
 //! this file intentionally contains a single `#[test]` so no concurrent
@@ -10,9 +12,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sssj_core::{SssjConfig, StreamJoin, Streaming};
+use sssj_core::{DecaySpec, SssjConfig, StreamJoin, Streaming};
 use sssj_index::IndexKind;
-use sssj_types::{vector::unit_vector, StreamRecord, Timestamp};
+use sssj_types::{vector::unit_vector, DecayModel, StreamRecord, Timestamp};
 
 struct CountingAlloc;
 
@@ -59,16 +61,13 @@ fn steady_stream(n: u64) -> Vec<StreamRecord> {
         .collect()
 }
 
-#[test]
-fn str_l2_steady_state_allocates_nothing() {
-    // τ = ln(1/0.6)/0.05 ≈ 10.2 → ~41 live vectors at 4 records/unit.
-    let config = SssjConfig::new(0.6, 0.05);
-    let records = steady_stream(6_000);
-    let mut join = Streaming::new(config, IndexKind::L2);
+/// Warms `join` up on the first 5 000 records, then asserts that the
+/// last 1 000 allocate nothing.
+fn assert_steady_state_allocates_nothing(mut join: Streaming, records: &[StreamRecord]) {
     let mut out = Vec::with_capacity(1 << 16);
 
-    // Warm-up: fill pools, grow posting blocks and hash maps to their
-    // plateau, slide past several horizons.
+    // Warm-up: grow the row store, posting blocks, accumulator and
+    // scratch to their plateau, slide past several horizons.
     let (warmup, measured) = records.split_at(5_000);
     for r in warmup {
         join.process(r, &mut out);
@@ -86,13 +85,28 @@ fn str_l2_steady_state_allocates_nothing() {
 
     // The loop must have exercised the full path: candidates generated,
     // pairs emitted, postings pruned.
-    assert!(pairs > 0, "measurement window must produce pairs");
-    assert!(join.stats().entries_pruned > 0, "time filtering must run");
+    let name = join.name();
+    assert!(pairs > 0, "{name}: measurement window must produce pairs");
+    assert!(
+        join.stats().entries_pruned > 0,
+        "{name}: time filtering must run"
+    );
     assert_eq!(
         after - before,
         0,
-        "steady-state STR-L2 must not allocate: {} allocations over {} records",
+        "steady-state {name} must not allocate: {} allocations over {} records",
         after - before,
         measured.len()
     );
+}
+
+#[test]
+fn str_l2_steady_state_allocates_nothing() {
+    let records = steady_stream(6_000);
+    // τ = ln(1/0.6)/0.05 ≈ 10.2 → ~41 live vectors at 4 records/unit.
+    let exponential = Streaming::new(SssjConfig::new(0.6, 0.05), IndexKind::L2);
+    assert_steady_state_allocates_nothing(exponential, &records);
+    // τ = 25·(1 − 0.6) = 10, with the window-max bound on.
+    let linear = DecaySpec::new(DecayModel::linear(25.0));
+    assert_steady_state_allocates_nothing(Streaming::with_decay(0.6, linear), &records);
 }

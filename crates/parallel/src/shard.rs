@@ -450,7 +450,7 @@ impl Checkpointable for ShardedJoin {
         let mut merged: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
         for blob in self.control_sync() {
             if blob.is_empty() {
-                continue; // worker engine with no aux (MB, decay)
+                continue; // worker engine with no aux (MB)
             }
             let entries = read_max_aux(&blob).expect("worker-encoded aux blob");
             for (dim, v) in entries {

@@ -4,7 +4,7 @@
 //! cannot produce pairs, never drop one.
 
 use proptest::prelude::*;
-use sssj_core::{run_stream, DecayStreaming, JoinSpec, MiniBatch, SssjConfig, Streaming};
+use sssj_core::{run_stream, DecaySpec, JoinSpec, MiniBatch, SssjConfig, Streaming};
 use sssj_index::IndexKind;
 use sssj_lsh::{LshJoin, LshParams};
 use sssj_parallel::{run_sharded, RoutingMode};
@@ -106,7 +106,7 @@ fn routed_mb_matches_sequential() {
 #[test]
 fn routed_decay_matches_sequential() {
     let stream = clustered_stream(19, 400, 8);
-    let mut seq = DecayStreaming::new(0.6, DecayModel::sliding_window(5.0));
+    let mut seq = Streaming::with_decay(0.6, DecaySpec::new(DecayModel::sliding_window(5.0)));
     let expected = sorted_keys(&run_stream(&mut seq, &stream));
     for shards in [2usize, 4] {
         let spec = format!("sharded?theta=0.6&shards={shards}&inner=decay&model=window:5");

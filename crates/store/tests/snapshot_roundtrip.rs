@@ -173,6 +173,37 @@ proptest! {
     }
 }
 
+/// A `decay` store whose checkpoint carries an empty aux blob — what
+/// the engine wrote before it ran on `Streaming` — still reopens, and
+/// continues exactly like the uninterrupted join.
+#[test]
+fn decay_checkpoint_with_empty_aux_reopens() {
+    let stream = random_stream(55, 240, 12);
+    let cut = 120;
+    let spec: JoinSpec = "decay?theta=0.6&model=linear:8".parse().unwrap();
+    let dir = tmp_dir("decay-aux");
+    let durable = DurableJoin::open(&spec, &dir, DurableOptions::default()).unwrap();
+    run_and_stop(durable, &stream[..cut]);
+    let mut ckpt = sssj_store::checkpoint::load_latest(&dir)
+        .unwrap()
+        .expect("a stopped store holds a checkpoint");
+    ckpt.aux.clear();
+    sssj_store::checkpoint::publish(&dir, &ckpt, false).unwrap();
+
+    let mut restored = DurableJoin::open(&spec, &dir, DurableOptions::default())
+        .expect("an empty aux blob reads as no maxima");
+    assert_eq!(restored.resume_point().map(|(n, _)| n), Some(cut as u64));
+    let tail = run_stream(&mut restored, &stream[cut..]);
+    drop(restored);
+    let _ = fs::remove_dir_all(&dir);
+
+    let mut plain = spec.build().unwrap();
+    run_stream(plain.as_mut(), &stream[..cut]);
+    let reference = run_stream(plain.as_mut(), &stream[cut..]);
+    assert!(!reference.is_empty());
+    assert_eq!(sorted_keys(&tail), sorted_keys(&reference));
+}
+
 /// The live checkpoint file of a stopped store.
 fn live_checkpoint(dir: &Path) -> PathBuf {
     fs::read_dir(dir)

@@ -13,10 +13,10 @@
 //! bound by `f(Δt) ≤ 1` exactly as it does for the exponential). Only the
 //! `m̂λ` maintenance trick of §5.3 is exponential-specific — it relies on
 //! the semigroup property `e^{-λ(a+b)} = e^{-λa}·e^{-λb}` — which is why
-//! the generic join ([`sssj_core::DecayStreaming`]) replaces it with an
-//! undecayed windowed maximum.
+//! the generic join ([`sssj_core::Streaming::with_decay`]) replaces it
+//! with an undecayed windowed maximum.
 //!
-//! [`sssj_core::DecayStreaming`]: https://docs.rs/sssj-core
+//! [`sssj_core::Streaming::with_decay`]: https://docs.rs/sssj-core
 
 use std::fmt;
 

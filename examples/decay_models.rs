@@ -34,7 +34,7 @@ fn main() {
         "model", "τ(θ)", "pairs", "entries", "candidates"
     );
     for model in models {
-        let mut join = DecayStreaming::new(theta, model);
+        let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
         let pairs = run_stream(&mut join, &stream);
         let s = join.stats();
         println!(

@@ -356,7 +356,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`types`] | sparse vectors, timestamps, decay (+ memoized decay table), join records |
-//! | [`collections`] | flat posting blocks, epoch accumulator, linked hash map, decayed maxima |
+//! | [`collections`] | flat posting blocks, arrival-ordered row store, epoch accumulator, decayed and windowed maxima |
 //! | [`index`] | batch APSS: INV, AP, L2AP, L2 filtering indexes |
 //! | [`core`] | the MB and STR streaming frameworks |
 //! | [`data`] | synthetic corpora, presets, text/binary formats |
@@ -392,9 +392,9 @@
 //! * decay factors come from a quantized upper-bound
 //!   [`types::DecayTable`] inside pruning tests (safe: a larger factor
 //!   only admits more), built from any non-increasing
-//!   [`types::DecayModel`], so STR-L2 and the generic decay engine share
-//!   one candidate pass; the exact factor is reserved for final
-//!   verification;
+//!   [`types::DecayModel`], so one STR engine serves every model
+//!   ([`core::Streaming::with_decay`]); the exact factor is reserved for
+//!   final verification;
 //! * index-construction bounds are replayed in squared space so the
 //!   per-coordinate square roots disappear.
 //!
@@ -450,10 +450,9 @@ pub fn register_all_engines() {
 pub mod prelude {
     pub use crate::register_all_engines;
     pub use sssj_core::{
-        advise, advise_from_examples, run_stream, Advice, Checkpointable, DecaySpec,
-        DecayStreaming, EngineSpec, Framework, JoinBuilder, JoinSpec, LshSpec, MiniBatch,
-        ReorderBuffer, ShardableJoin, ShardedInner, SpecError, SssjConfig, StreamJoin, Streaming,
-        TopKJoin, WrapperSpec,
+        advise, advise_from_examples, run_stream, Advice, Checkpointable, DecaySpec, EngineSpec,
+        Framework, JoinBuilder, JoinSpec, LshSpec, MiniBatch, ReorderBuffer, ShardableJoin,
+        ShardedInner, SpecError, SssjConfig, StreamJoin, Streaming, TopKJoin, WrapperSpec,
     };
     pub use sssj_graph::{GraphHandle, GraphJoin, GraphStats, SimilarityGraph};
     pub use sssj_index::{all_pairs, BatchIndex, BoundPolicy, IndexKind};

@@ -72,7 +72,7 @@ fn all_exact_joins_agree() {
     ));
     drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
-    let mut generic = DecayStreaming::new(theta, DecayModel::exponential(lambda));
+    let mut generic = Streaming::with_decay(theta, DecaySpec::new(DecayModel::exponential(lambda)));
     variants.push((
         generic.name(),
         sorted_keys(&run_stream(&mut generic, &stream)),
@@ -137,7 +137,7 @@ fn sliding_window_model_is_undecayed_cosine_in_window() {
     let theta = 0.6;
     let w = 5.0;
     let model = DecayModel::sliding_window(w);
-    let mut join = DecayStreaming::new(theta, model);
+    let mut join = Streaming::with_decay(theta, DecaySpec::new(model));
     let got = sorted_keys(&run_stream(&mut join, &stream));
     let expected = sorted_keys(&brute_force_stream_model(&stream, theta, model));
     assert_eq!(got, expected);
