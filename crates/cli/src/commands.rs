@@ -155,11 +155,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let s = join.stats();
     eprintln!("algorithm : {}", join.name());
     eprintln!("spec      : {spec}");
+    let forgetting = match spec.decay_model() {
+        Some(model) => format!("model: {model}"),
+        None => format!("lambda: {}", spec.lambda),
+    };
     eprintln!(
-        "theta     : {}   lambda: {}   tau: {:.1}s",
+        "theta     : {}   {forgetting}   tau: {:.1}s",
         spec.theta,
-        spec.lambda,
-        spec.config().tau()
+        spec.horizon()
     );
     eprintln!("records   : {}", records.len());
     eprintln!("pairs     : {}", s.pairs_output);

@@ -97,6 +97,37 @@ fn frameworks_report_same_pair_count() {
 }
 
 #[test]
+fn run_header_reports_the_decay_models_horizon() {
+    let dir = tmpdir("decay-header");
+    let txt = dir.join("s.txt");
+    assert!(bin()
+        .args(["generate", "--preset", "tweets", "--n", "200", "--out"])
+        .arg(&txt)
+        .status()
+        .unwrap()
+        .success());
+    let header = |spec: &str| {
+        let out = bin()
+            .arg("run")
+            .arg(&txt)
+            .args(["--spec", spec])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    let decay = header("decay?theta=0.6&model=window:20");
+    assert!(decay.contains("model: window:20"), "{decay}");
+    assert!(decay.contains("tau: 20.0s"), "{decay}");
+    assert!(!decay.contains("lambda"), "{decay}");
+    let exp = header("str-l2?theta=0.5&tau=10");
+    assert!(exp.contains("tau: 10.0s"), "{exp}");
+    assert!(exp.contains("lambda: "), "{exp}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     // Unknown command.
     let out = bin().arg("frobnicate").output().unwrap();

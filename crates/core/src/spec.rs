@@ -629,13 +629,22 @@ impl JoinSpec {
     /// model's own horizon for the `decay` engine, and `∞` when λ = 0
     /// (nothing ever expires).
     pub fn horizon(&self) -> f64 {
+        match self.decay_model() {
+            Some(model) => model.horizon(self.theta),
+            None => self.config().tau(),
+        }
+    }
+
+    /// The decay model of a `decay` engine, bare or as a sharded inner;
+    /// `None` for the engines that forget exponentially at λ.
+    pub fn decay_model(&self) -> Option<DecayModel> {
         match &self.engine {
             EngineSpec::GenericDecay(d)
             | EngineSpec::Sharded {
                 inner: ShardedInner::GenericDecay(d),
                 ..
-            } => d.model.horizon(self.theta),
-            _ => self.config().tau(),
+            } => Some(d.model),
+            _ => None,
         }
     }
 

@@ -56,7 +56,10 @@ fn measure(spec: &str, records: &[StreamRecord]) -> (Counts, Pairs) {
     (counts, (s.pairs_output, pair_digest(&pairs)))
 }
 
-fn check(records: &[StreamRecord], pairs: Pairs, cases: &[(&str, Counts)]) {
+/// Compares one block — the specs that share a pair set — against its
+/// literals and returns one message per moved row, so a test reports
+/// every moved block before it fails.
+fn check(records: &[StreamRecord], pairs: Pairs, cases: &[(&str, Counts)]) -> Vec<String> {
     let mut wrong = Vec::new();
     for &(spec, want) in cases {
         let (got, (n, digest)) = measure(spec, records);
@@ -66,6 +69,10 @@ fn check(records: &[StreamRecord], pairs: Pairs, cases: &[(&str, Counts)]) {
             ));
         }
     }
+    wrong
+}
+
+fn assert_unmoved(wrong: &[String]) {
     assert!(
         wrong.is_empty(),
         "golden counts moved:\n{}",
@@ -79,7 +86,7 @@ fn check(records: &[StreamRecord], pairs: Pairs, cases: &[(&str, Counts)]) {
 fn golden_counts_dense() {
     let records = generate(&preset(Preset::Dense, 2_000).with_seed(7));
     #[rustfmt::skip]
-    check(&records, (10171, 0x4290_3ea1_f5ae_de90), &[
+    let mut wrong = check(&records, (10171, 0x4290_3ea1_f5ae_de90), &[
         // spec                              entries    cands     sims  postings
         ("str-l2?theta=0.5&lambda=0.001",   (3928460,  611180,   77248, 69558)),
         ("str-inv?theta=0.5&lambda=0.001",  (6273077, 1195241, 1195241, 86026)),
@@ -89,13 +96,14 @@ fn golden_counts_dense() {
     ]);
     // Each decay model has its own pair set, so each gets its own block.
     #[rustfmt::skip]
-    check(&records, (9633, 0x88a1_59ca_3142_1773), &[
+    wrong.extend(check(&records, (9633, 0x88a1_59ca_3142_1773), &[
         ("decay?theta=0.5&model=linear:1000",  (3925163,  592337,   72428, 69558)),
-    ]);
+    ]));
     #[rustfmt::skip]
-    check(&records, (1882, 0x9d8b_ca84_f9fb_8038), &[
+    wrong.extend(check(&records, (1882, 0x9d8b_ca84_f9fb_8038), &[
         ("decay?theta=0.5&model=poly:1.5:200", (1599195,  210464,   16802, 69558)),
-    ]);
+    ]));
+    assert_unmoved(&wrong);
 }
 
 /// The sparse Tweets stream: short lists, mostly sub-8-entry chunks.
@@ -103,7 +111,7 @@ fn golden_counts_dense() {
 fn golden_counts_tweets() {
     let records = generate(&preset(Preset::Tweets, 20_000).with_seed(7));
     #[rustfmt::skip]
-    check(&records, (711, 0x9693_9122_da2d_5784), &[
+    let mut wrong = check(&records, (711, 0x9693_9122_da2d_5784), &[
         // spec                              entries    cands     sims  postings
         ("str-l2?theta=0.5&lambda=0.07",    (  55683,   18020,    2088, 125564)),
         ("str-inv?theta=0.5&lambda=0.07",   (  95236,   70814,   70814, 150763)),
@@ -112,11 +120,12 @@ fn golden_counts_tweets() {
         ("decay?theta=0.5&model=exp:0.07",  (  55683,    9542,    1604, 125564)),
     ]);
     #[rustfmt::skip]
-    check(&records, (818, 0x28a5_36df_8eb9_ec29), &[
+    wrong.extend(check(&records, (818, 0x28a5_36df_8eb9_ec29), &[
         ("decay?theta=0.5&model=linear:20",    (  56280,   10695,    1849, 125564)),
-    ]);
+    ]));
     #[rustfmt::skip]
-    check(&records, (778, 0x928d_2585_5b4b_c98c), &[
+    wrong.extend(check(&records, (778, 0x928d_2585_5b4b_c98c), &[
         ("decay?theta=0.5&model=poly:1.5:20",  (  65895,   11391,    1807, 125564)),
-    ]);
+    ]));
+    assert_unmoved(&wrong);
 }

@@ -579,6 +579,26 @@ impl SimilarityGraph {
         self.adj.values().map(|b| b.heap_bytes()).sum()
     }
 
+    /// Sweeps every block when the historical tier is listening and
+    /// anything expired since the last sweep, so each edge past the
+    /// cutoff reaches [`SimilarityGraph::take_expired`] now rather than
+    /// whenever its block is next touched.
+    fn sweep_for_collector(&mut self) {
+        if self.collect_expired && self.expired_since_sweep > 0 {
+            self.sweep();
+        }
+    }
+
+    /// Advances the clock to `now` and runs the collector's sweep — the
+    /// step a capture ([`SimilarityGraph::snapshot_delta`]) takes first.
+    /// A read served from the write side calls this before answering,
+    /// so it retires the same edges at the same points as a read that
+    /// publishes first.
+    pub(crate) fn settle(&mut self, now: f64) {
+        self.advance(now);
+        self.sweep_for_collector();
+    }
+
     /// The capture feed for incremental snapshot publication: drains
     /// the touched-node set and returns `(now, live edge count,
     /// fresh live blocks for exactly those nodes)` — an empty block
@@ -592,9 +612,7 @@ impl SimilarityGraph {
     ///
     /// [`advance`]: SimilarityGraph::advance
     pub(crate) fn snapshot_delta(&mut self) -> (f64, u64, Vec<NodeBlock>) {
-        if self.collect_expired && self.expired_since_sweep > 0 {
-            self.sweep();
-        }
+        self.sweep_for_collector();
         let cutoff = self.cutoff();
         let touched = std::mem::take(&mut self.touched);
         let mut delta = Vec::with_capacity(touched.len());

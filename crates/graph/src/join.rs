@@ -45,12 +45,11 @@ fn graph_metrics() -> &'static GraphMetrics {
 
 /// Publish cadence: a snapshot is republished once the unpublished
 /// backlog reaches 1/`PUBLISH_FANOUT` of the live edge count (min
-/// [`PUBLISH_MIN_BACKLOG`]). Publication is incremental (touched
-/// blocks re-captured, the rest `Arc`-shared with the previous
-/// snapshot — see [`GraphSnapshot::capture_from`]), so the cadence
-/// bounds how far a wait-free reader's watermark may trail the ingest
-/// frontier (`max(live/8, 64)` deliveries) rather than amortizing a
-/// full-copy cost.
+/// [`PUBLISH_MIN_BACKLOG`]). The cadence bounds how far a wait-free
+/// reader's watermark may trail the ingest frontier (`max(live/8, 64)`
+/// deliveries), and it amortizes the publish: only touched blocks are
+/// re-copied, but every capture also clones and prunes the whole
+/// adjacency map (O(stored nodes), see [`GraphSnapshot::capture_from`]).
 const PUBLISH_FANOUT: u64 = 8;
 /// Floor of the publish backlog threshold (tiny graphs republish per
 /// ~64 edges instead of per edge).
@@ -92,7 +91,8 @@ struct Shared {
     /// Whether the write side has unpublished changes.
     dirty: AtomicBool,
     /// Forces every read through the write lock
-    /// ([`GraphHandle::new_oracle`], the tests' reference).
+    /// ([`GraphHandle::new_oracle`], the tests' reference); the other
+    /// handles take that path for `neighbors`/`topk` while dirty.
     oracle: bool,
 }
 
@@ -119,10 +119,18 @@ struct Cache {
 /// * [`GraphHandle::neighbors`] / [`topk`](GraphHandle::topk) /
 ///   [`component`](GraphHandle::component) /
 ///   [`stats`](GraphHandle::stats) are **read-your-own-writes fresh**:
-///   if the write side has unpublished changes (or the query's `now`
-///   is past the snapshot watermark) they publish first, then answer
-///   from the new snapshot. Single-threaded callers see exactly the
-///   old Mutex semantics; the publish is amortized by the cadence.
+///   every accepted delivery is visible to them. On a clean handle they
+///   answer from the current snapshot, publishing first only when the
+///   query's `now` is past its watermark.
+/// * On a dirty handle (unpublished deliveries) `neighbors`/`topk` take
+///   the write lock, advance the write clock to `now`, run the sweep a
+///   capture would run (so the historical tier's expired edges arrive
+///   at the same points) and answer from the live graph in O(degree).
+///   They publish nothing: a publish costs O(stored nodes) — clone the
+///   adjacency map, prune it, drop the previous one — so publishing per
+///   read would charge that to every read that follows a few ingests.
+///   `component`/`stats` need a memoized global view and still publish
+///   first on a dirty handle.
 /// * [`GraphHandle::snapshot`] is the scaling read path: wait-free at
 ///   steady state (one atomic generation load + a per-clone cached
 ///   `Arc`), never touches the write lock, and returns a consistent
@@ -210,10 +218,12 @@ impl GraphHandle {
     }
 
     /// Publishes the write side as a new snapshot. Caller holds the
-    /// write lock, which is what serializes generation bumps. The
-    /// capture is incremental: blocks of nodes untouched since the
-    /// previous publish are `Arc`-shared with it, so publish cost
-    /// scales with what changed, not with the live edge set.
+    /// write lock, which is what serializes generation bumps. Blocks
+    /// of nodes untouched since the previous publish are `Arc`-shared
+    /// with it, so only the touched nodes' edges are copied; the map
+    /// itself is still cloned, pruned and (once no reader holds the
+    /// previous snapshot) dropped, so a publish costs O(stored nodes)
+    /// however little changed.
     fn publish_locked(&self, w: &mut WriteSide) -> Arc<GraphSnapshot> {
         let generation = self.shared.generation.load(Ordering::Relaxed) + 1;
         let mut span =
@@ -319,6 +329,15 @@ impl GraphHandle {
         }
     }
 
+    /// The write side settled at `now` (clock advanced, collector's
+    /// sweep run) — where the oracle, and a dirty handle's
+    /// `neighbors`/`topk`, answer from.
+    fn settled(&self, now: f64) -> MutexGuard<'_, WriteSide> {
+        let mut w = self.write();
+        w.graph.settle(now);
+        w
+    }
+
     /// The fresh-read snapshot: publishes first when the write side is
     /// dirty or the query's `now` is past the published watermark, so
     /// the answer reflects every accepted delivery (read-your-own-
@@ -336,16 +355,16 @@ impl GraphHandle {
     /// The live neighbours of `node` at stream time `now`, sorted by
     /// neighbour id.
     pub fn neighbors(&self, node: u64, now: f64) -> Vec<Edge> {
-        if self.shared.oracle {
-            return self.write().graph.neighbors(node, now);
+        if self.shared.oracle || self.is_dirty() {
+            return self.settled(now).graph.neighbors(node, now);
         }
         self.fresh(now).neighbors(node, now)
     }
 
     /// The `k` best live neighbours of `node` at `now`, best first.
     pub fn topk(&self, node: u64, k: usize, now: f64) -> Vec<Edge> {
-        if self.shared.oracle {
-            return self.write().graph.topk(node, k, now);
+        if self.shared.oracle || self.is_dirty() {
+            return self.settled(now).graph.topk(node, k, now);
         }
         self.fresh(now).topk(node, k, now)
     }
@@ -354,7 +373,7 @@ impl GraphHandle {
     /// member id, size)`, or `None` for a node with no live edge.
     pub fn component(&self, node: u64, now: f64) -> Option<(u64, u64)> {
         if self.shared.oracle {
-            return self.write().graph.component(node, now);
+            return self.settled(now).graph.component(node, now);
         }
         self.fresh(now).component(node, now)
     }
@@ -362,7 +381,7 @@ impl GraphHandle {
     /// Aggregate graph counters at `now`.
     pub fn stats(&self, now: f64) -> GraphStats {
         if self.shared.oracle {
-            return self.write().graph.stats(now);
+            return self.settled(now).graph.stats(now);
         }
         self.fresh(now).stats(now)
     }
@@ -703,6 +722,49 @@ mod tests {
             PUBLISH_MIN_BACKLOG
         );
         assert!(snap.live_edges() >= 1);
+    }
+
+    #[test]
+    fn dirty_neighbors_and_topk_answer_like_the_oracle_without_publishing() {
+        let g = GraphHandle::with_options(10.0, false);
+        let oracle = GraphHandle::new_oracle(10.0);
+        for (l, r, sim, t) in [(0, 1, 0.9, 0.0), (0, 2, 0.8, 1.0), (2, 3, 0.7, 2.0)] {
+            g.add_edge(l, r, sim, t);
+            oracle.add_edge(l, r, sim, t);
+        }
+        assert!(g.is_dirty());
+        let generation = g.snapshot().generation();
+        // Behind, at and past the write clock (10.5 expires the 0-1 edge).
+        for now in [1.0, 2.0, 10.5] {
+            for node in 0..4 {
+                assert_eq!(g.neighbors(node, now), oracle.neighbors(node, now));
+                assert_eq!(g.topk(node, 1, now), oracle.topk(node, 1, now));
+            }
+            assert_eq!(g.snapshot().generation(), generation, "read published");
+            assert!(g.is_dirty(), "read cleared the dirty flag");
+        }
+        assert_eq!(ids(&g.neighbors(0, 10.5)), vec![2]);
+        // A global read still publishes, and so catches the snapshot up.
+        assert_eq!(g.stats(10.5), oracle.stats(10.5));
+        assert_eq!(g.snapshot().generation(), generation + 1);
+        assert!(!g.is_dirty());
+    }
+
+    #[test]
+    fn cadence_publishes_when_reads_interleave_with_ingest() {
+        let g = GraphHandle::with_options(f64::INFINITY, false);
+        for i in 0..PUBLISH_MIN_BACKLOG {
+            g.add_edge(i, i + 1, 0.9, i as f64);
+            if i % 3 == 2 {
+                assert_eq!(ids(&g.neighbors(i, i as f64)), vec![i - 1, i + 1]);
+                assert_eq!(g.topk(i, 1, i as f64).len(), 1);
+            }
+        }
+        // The reads reset no backlog: the ingest cadence alone publishes,
+        // once, when the backlog reaches the threshold.
+        assert_eq!(g.snapshot().generation(), 1);
+        assert_eq!(g.snapshot().live_edges(), PUBLISH_MIN_BACKLOG);
+        assert!(!g.is_dirty());
     }
 
     #[test]

@@ -29,9 +29,14 @@
 //!   immutable snapshots (RCU-style `Arc` swap) at a bounded cadence,
 //!   so concurrent readers ([`GraphHandle::snapshot`]) are wait-free at
 //!   steady state and never contend with ingest. Staleness is explicit
-//!   — [`GraphSnapshot::watermark`] — and bounded by the cadence. The
-//!   tests' reference is `GraphHandle::new_oracle`, whose reads take
-//!   the write lock.
+//!   — [`GraphSnapshot::watermark`] — and bounded by the cadence.
+//!   Fresh reads ([`GraphHandle::neighbors`], [`GraphHandle::topk`]) on
+//!   a handle with unpublished deliveries take the write lock and
+//!   answer from the live graph in O(degree) rather than publish: a
+//!   publish clones and prunes the whole adjacency map, O(stored
+//!   nodes). `component`/`stats` publish first, since they need the
+//!   snapshot's memoized global view. The tests' reference is
+//!   `GraphHandle::new_oracle`, whose reads always take the write lock.
 //! * [`GraphedEngine`] — the [`sssj_core::Checkpointable`] variant: in
 //!   `…&durable=<dir>&graph` pipelines the graph lives inside the
 //!   durability boundary and its live edge set rides the checkpoint aux

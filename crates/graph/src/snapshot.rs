@@ -78,12 +78,14 @@ impl GraphSnapshot {
 
     /// Captures `graph` as snapshot `generation`, reusing `prev`'s
     /// blocks for every node the write side did not touch since the
-    /// last capture. Cost is O(touched edges + stored nodes) pointer
-    /// work — cloning the map bumps refcounts, refreshing a touched
-    /// node copies only its live entries, and pruning checks one
-    /// newest-entry stamp per node — instead of re-copying the whole
-    /// live edge set, which is what makes a publish cheap enough to sit
-    /// on the serving path's read-your-writes check.
+    /// last capture. Only the touched nodes' live edges are copied, but
+    /// the cost is O(touched edges + stored nodes): cloning the map
+    /// visits every stored node (a refcount bump each), pruning checks
+    /// one newest-entry stamp per node, and the previous map is dropped
+    /// with the last reader of `prev`, however few nodes were touched.
+    /// That is too much to pay per read, which is why a dirty handle
+    /// answers `neighbors`/`topk` from the write side instead of
+    /// publishing (see [`crate::GraphHandle`]).
     /// Returns the snapshot plus the touched-node count (the delta's
     /// size — what the incremental capture actually copied), which the
     /// publisher reports to telemetry.

@@ -206,3 +206,108 @@ fn snapshot_and_oracle_handles_agree_on_the_same_stream() {
         assert_eq!(published.stats(now), oracle.stats(now), "stats at {now}");
     }
 }
+
+/// Seeded interleaving of `add_edge` with every read, at `now` behind,
+/// at and past the write clock. The snapshot handle serves a dirty
+/// `neighbors`/`topk` from the write side without publishing and
+/// publishes for everything else; the oracle reads the write side
+/// throughout. Answers must agree, and both handles must hand the
+/// historical tier the same expired edges by the end of every read.
+fn interleaved_reads_match_the_oracle(seed: u64, collect: bool) {
+    const HORIZON: f64 = 2.0;
+    const NODES: u64 = 48;
+    let handle = GraphHandle::with_options(HORIZON, collect);
+    let oracle = GraphHandle::new_oracle(HORIZON);
+    oracle.set_collect_expired(collect);
+    let mut state = seed;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let sorted = |mut edges: Vec<sssj_graph::ExpiredEdge>| {
+        edges.sort_by_key(|e| (e.left, e.right, e.t.to_bits(), e.similarity.to_bits()));
+        edges
+    };
+    let mut clock = 0.0f64;
+    let (mut retired, mut write_side_reads) = (0usize, 0usize);
+    for step in 0..6_000 {
+        let op = next() % 8;
+        if op < 4 {
+            clock += (next() % 4) as f64 * 0.01;
+            let a = next() % NODES;
+            let b = (a + 1 + next() % (NODES - 1)) % NODES;
+            let sim = 0.5 + (next() % 1000) as f64 / 2000.0;
+            handle.add_edge(a, b, sim, clock);
+            oracle.add_edge(a, b, sim, clock);
+            continue;
+        }
+        let now = match next() % 3 {
+            0 => clock - (next() % 100) as f64 * 0.01,
+            1 => clock,
+            _ => clock + (next() % 100) as f64 * 0.01,
+        };
+        // Deliveries never run behind the clock a read advanced.
+        clock = clock.max(now);
+        let node = next() % NODES;
+        let generation = handle.snapshot().generation();
+        let dirty = handle.is_dirty();
+        let at = format!("step {step}, now {now}, node {node}");
+        match op {
+            4 | 5 => {
+                if op == 4 {
+                    assert_eq!(
+                        pairs_of(&handle.neighbors(node, now)),
+                        pairs_of(&oracle.neighbors(node, now)),
+                        "neighbors, {at}"
+                    );
+                } else {
+                    let k = 1 + (next() % 5) as usize;
+                    assert_eq!(
+                        pairs_of(&handle.topk(node, k, now)),
+                        pairs_of(&oracle.topk(node, k, now)),
+                        "topk {k}, {at}"
+                    );
+                }
+                if dirty {
+                    write_side_reads += 1;
+                    assert_eq!(handle.snapshot().generation(), generation, "{at}");
+                    assert!(handle.is_dirty(), "{at}");
+                }
+            }
+            6 => assert_eq!(
+                handle.component(node, now),
+                oracle.component(node, now),
+                "component, {at}"
+            ),
+            _ => assert_eq!(handle.stats(now), oracle.stats(now), "stats, {at}"),
+        }
+        let got = sorted(handle.take_expired());
+        assert_eq!(got, sorted(oracle.take_expired()), "expired edges, {at}");
+        retired += got.len();
+    }
+    assert!(
+        write_side_reads > 100,
+        "only {write_side_reads} dirty reads"
+    );
+    if collect {
+        assert!(retired > 1_000, "only {retired} edges expired");
+    } else {
+        assert_eq!(retired, 0);
+    }
+}
+
+#[test]
+fn interleaved_reads_match_the_oracle_collecting_expired_edges() {
+    for seed in [1, 7, 42] {
+        interleaved_reads_match_the_oracle(seed, true);
+    }
+}
+
+#[test]
+fn interleaved_reads_match_the_oracle_without_collection() {
+    for seed in [1, 7, 42] {
+        interleaved_reads_match_the_oracle(seed, false);
+    }
+}
