@@ -1,21 +1,25 @@
 //! A vector id that arrives twice names two vectors. The brute-force
-//! oracle pairs each arrival on its own, and so must every STR index and
-//! the decay engine: one pair per arrival, each with its own similarity,
-//! never one merged pair scoring the sum of both.
+//! oracle pairs each arrival on its own, and so must every STR and MB
+//! index and the decay engine: one pair per arrival, each with its own
+//! similarity, never one merged pair scoring the sum of both.
 
 use rand::{RngExt, SeedableRng};
 use sssj_baseline::brute_force_stream;
 use sssj_core::{run_stream, JoinSpec};
 use sssj_types::{vector::unit_vector, SimilarPair, StreamRecord, Timestamp};
 
-/// Every STR index, STR-L2 behind a reorder buffer and under the online
-/// oracle check, and the decay engine under the exponential model with
-/// and without its window-max bound. `{l}` stands for λ.
-const SPECS: [&str; 8] = [
+/// Every STR and MB index, STR-L2 behind a reorder buffer and under the
+/// online oracle check, and the decay engine under the exponential model
+/// with and without its window-max bound. `{l}` stands for λ.
+const SPECS: [&str; 12] = [
     "str-inv?lambda={l}",
     "str-ap?lambda={l}",
     "str-l2ap?lambda={l}",
     "str-l2?lambda={l}",
+    "mb-inv?lambda={l}",
+    "mb-ap?lambda={l}",
+    "mb-l2ap?lambda={l}",
+    "mb-l2?lambda={l}",
     "str-l2?lambda={l}&reorder=2",
     "str-l2?lambda={l}&checked",
     "decay?model=exp:{l}",
