@@ -136,6 +136,22 @@ impl<A: Copy> ArrivalStore<A> {
         self.head - first
     }
 
+    /// Drops every row. Ordinals are not reused: the next
+    /// [`Self::push`] still returns [`Self::end`]. Keeps the allocations.
+    pub fn clear(&mut self) {
+        self.base = self.end();
+        self.head = 0;
+        self.arena_base += self.dims.len() as u64;
+        self.ids.clear();
+        self.ts.clear();
+        self.qs.clear();
+        self.aux.clear();
+        self.starts.clear();
+        self.lens.clear();
+        self.dims.clear();
+        self.weights.clear();
+    }
+
     /// The live row with ordinal `ord`, if any.
     #[inline]
     pub fn row(&self, ord: u64) -> Option<Row<'_, A>> {
@@ -150,6 +166,13 @@ impl<A: Copy> ArrivalStore<A> {
             dims: &self.dims[start..end],
             weights: &self.weights[start..end],
         })
+    }
+
+    /// The payload of live row `ord`, if any: [`Self::row`] without the
+    /// residual span, for reads per posting.
+    #[inline]
+    pub fn aux(&self, ord: u64) -> Option<A> {
+        self.slot(ord).map(|p| self.aux[p])
     }
 
     /// Shortens the residual of live row `ord` to its first `len`
@@ -285,6 +308,21 @@ mod tests {
         assert_eq!(s.pop_expired(100.0, 1.0), 3);
         assert!(s.is_empty());
         assert_eq!(push(&mut s, 7, 101.0, 1), 5, "ordinals are never reused");
+    }
+
+    #[test]
+    fn clear_drops_every_row_and_keeps_ordinals_rising() {
+        let mut s = ArrivalStore::new();
+        for i in 0..4 {
+            push(&mut s, i, i as f64, 3);
+        }
+        s.pop_expired(2.0, 1.5);
+        s.clear();
+        assert!(s.is_empty() && s.q_column().is_empty());
+        assert_eq!((s.front(), s.end()), (4, 4));
+        assert!(s.row(3).is_none());
+        assert_eq!(push(&mut s, 9, 0.0, 2), 4, "ordinals are never reused");
+        assert_eq!(s.row(4).unwrap().dims, &[9, 12]);
     }
 
     #[test]

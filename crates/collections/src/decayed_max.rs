@@ -68,6 +68,11 @@ impl DecayedMaxVec {
 
     #[inline]
     fn decayed_to(&self, d: usize, t: f64) -> f64 {
+        if self.lambda == 0.0 {
+            // No decay (static APSS): a plain running maximum, with no
+            // `exp` to pay and no time order to keep.
+            return self.values[d];
+        }
         let last = self.times[d];
         if last == f64::NEG_INFINITY {
             return 0.0;
@@ -149,5 +154,8 @@ mod tests {
         m.update(1, 0.0, 0.4);
         m.update(1, 10.0, 0.2);
         assert_eq!(m.get(1, 100.0), 0.4);
+        // Without decay, time order does not matter.
+        m.update(1, 5.0, 0.6);
+        assert_eq!(m.get(1, 0.0), 0.6);
     }
 }

@@ -11,17 +11,19 @@
 //! Two frameworks solve the problem:
 //!
 //! * [`MiniBatch`] (MB, Algorithm 1 + §6.1) — buffers the stream in
-//!   windows of length `τ`, builds a fresh batch index per window and
-//!   queries it with the following window. Uses any batch index
-//!   ([`sssj_index::BatchIndex`]) as a black box; reports within-window
-//!   pairs with delay and probes pairs as far apart as `2τ`.
+//!   windows of length `τ`, indexes each window and queries it with the
+//!   following window. Its index is STR's with time filtering off (the
+//!   static index of Algorithms 2–4), emptied between windows; it reports
+//!   within-window pairs with delay and probes pairs as far apart as
+//!   `2τ`.
 //! * [`Streaming`] (STR, Algorithms 5–8) — a single incrementally
 //!   maintained index with *time filtering* built in: posting lists are
 //!   pruned as they are scanned, bounds are decayed per entry, and old
 //!   state is dropped the moment it falls behind the horizon.
 //!
 //! Both frameworks are instantiated with any [`sssj_index::IndexKind`];
-//! the paper's headline configuration is STR with the L2 index.
+//! the paper's headline configuration is STR with the L2 index. The same
+//! engine solves static all-pairs search ([`batch::all_pairs`]).
 //!
 //! # One config surface: [`spec::JoinSpec`]
 //!
@@ -54,6 +56,7 @@
 pub mod advisor;
 pub mod algorithm;
 pub mod api;
+pub mod batch;
 pub mod config;
 pub mod latency;
 pub mod minibatch;

@@ -1,13 +1,19 @@
 //! The MB framework (Algorithm 1 + the two-window fix of §6.1).
+//!
+//! MB is STR without time filtering: each window runs on one
+//! [`Streaming`] index with `τ = ∞` (`Streaming::untimed`), emptied
+//! between windows, whose verification applies the exact decay factor
+//! against `θ` — the paper's `ApplyDecay`.
 
 use sssj_collections::MaxVector;
 use sssj_metrics::JoinStats;
-use sssj_types::{Decay, SimilarPair, StreamRecord};
+use sssj_types::{SimilarPair, StreamRecord};
 
-use sssj_index::{BatchIndex, BatchScratch, IndexKind, Match};
+use sssj_index::IndexKind;
 
 use crate::algorithm::{ShardableJoin, StreamJoin};
 use crate::config::SssjConfig;
+use crate::Streaming;
 
 /// MB-IDX: the MiniBatch streaming similarity self-join.
 ///
@@ -17,14 +23,14 @@ use crate::config::SssjConfig;
 /// 1. the max vectors of `W_{k−1}` and `W_k` are combined (§6.1: the
 ///    AP-family `b1` bound must cover the window that will *query* the
 ///    index, which is only known one window later);
-/// 2. a fresh batch index is built over `W_{k−1}`, reporting all
+/// 2. the emptied window index is built over `W_{k−1}`, reporting all
 ///    within-window pairs of `W_{k−1}` (with delay — the drawback the
 ///    paper notes);
 /// 3. every vector of `W_k` queries that index, reporting the
 ///    cross-window pairs.
 ///
-/// The index over `W_{k−1}` is then dropped wholesale — MB never prunes
-/// posting lists, it throws indexes away. All pairs pass through
+/// The index over `W_{k−1}` is then emptied wholesale — MB never prunes
+/// posting lists, it throws whole windows away. All pairs pass through
 /// `ApplyDecay`: the exact time-dependent similarity is checked against
 /// `θ` before reporting. Pairs further apart than `τ` can never join, and
 /// any pair within `τ` lands either in one window or in two adjacent
@@ -32,22 +38,16 @@ use crate::config::SssjConfig;
 pub struct MiniBatch {
     config: SssjConfig,
     kind: IndexKind,
-    decay: Decay,
     tau: f64,
     window_end: Option<f64>,
     /// Buffered windows; the flag marks records this join *indexes* (in
     /// sharded execution only owned records are indexed — unflagged ones
     /// query the window index but never enter it).
     prev: Vec<(StreamRecord, bool)>,
-    prev_m: MaxVector,
     cur: Vec<(StreamRecord, bool)>,
-    cur_m: MaxVector,
-    live_postings: u64,
+    /// The window index: untimed STR, restarted at every window close.
+    index: Streaming,
     stats: JoinStats,
-    /// Recycled allocations of the previous window's batch index.
-    scratch: BatchScratch,
-    /// Reusable per-record hit buffer.
-    hits: Vec<Match>,
 }
 
 impl MiniBatch {
@@ -59,17 +59,12 @@ impl MiniBatch {
         MiniBatch {
             config,
             kind,
-            decay: config.decay(),
             tau: config.tau(),
             window_end: None,
             prev: Vec::new(),
-            prev_m: MaxVector::new(),
             cur: Vec::new(),
-            cur_m: MaxVector::new(),
-            live_postings: 0,
+            index: Streaming::untimed(config.theta, kind, config.decay().into(), MaxVector::new()),
             stats: JoinStats::new(),
-            scratch: BatchScratch::default(),
-            hits: Vec::new(),
         }
     }
 
@@ -86,12 +81,9 @@ impl MiniBatch {
     /// Estimated heap footprint of the buffered state, in bytes.
     ///
     /// MB buffers the previous and current windows as raw records (up to
-    /// `2τ` of stream) plus the two per-window max vectors; the batch
-    /// index itself is transient — built and dropped inside the window
-    /// close — so its peak cost is approximated by the last window's
-    /// posting count times the entry size. Like
-    /// [`Streaming::memory_bytes`](crate::Streaming::memory_bytes), an
-    /// O(state) estimate to be sampled, not read per record.
+    /// `2τ` of stream) and keeps the window index's allocations between
+    /// windows, counted by [`Streaming::memory_bytes`]; like that, this is
+    /// an O(state) estimate to be sampled, not read per record.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
         let window = |records: &[(StreamRecord, bool)]| -> u64 {
@@ -100,80 +92,46 @@ impl MiniBatch {
                 .map(|(r, _)| size_of::<StreamRecord>() as u64 + r.vector.nnz() as u64 * 12)
                 .sum()
         };
-        window(&self.prev)
-            + window(&self.cur)
-            + (self.prev_m.dims() + self.cur_m.dims()) as u64 * 8
-            // Transient batch index at the last window close.
-            + self.live_postings * 24
+        window(&self.prev) + window(&self.cur) + self.index.memory_bytes()
     }
 
     /// Closes the current window: indexes `prev` (reporting its
     /// within-window pairs), streams `cur` through the index (reporting
     /// cross-window pairs), then shifts the windows.
     fn flush_window(&mut self, out: &mut Vec<SimilarPair>) {
-        let theta = self.config.theta;
-        // §6.1: m must cover both the indexed and the querying window.
-        let mut m = self.prev_m.clone();
-        m.merge(&self.cur_m);
-
-        // The per-window index reuses the previous window's allocations
-        // (posting blocks, metadata map, accumulator, norm scratch).
-        let mut index = BatchIndex::with_scratch(
-            theta,
-            self.kind.policy(),
-            m,
-            std::mem::take(&mut self.scratch),
-        );
-        let hits = &mut self.hits;
+        // §6.1: m must cover both the indexed and the querying window,
+        // every buffered record — indexed or not. Only the AP bounds read
+        // it; the other indexes leave it empty.
+        let mut m = MaxVector::new();
+        if self.kind.policy().ap {
+            for (r, _) in self.prev.iter().chain(&self.cur) {
+                for (d, w) in r.vector.iter() {
+                    m.update(d, w);
+                }
+            }
+        }
+        self.index.restart(m);
         // IndConstr over the previous window: query-then-insert finds all
         // pairs within it. Unflagged (non-owned) records query but are
         // never indexed, so a pair is reported only by the shard that
         // owns its earlier member.
         for (r, indexed) in &self.prev {
-            hits.clear();
-            index.query_into(r, hits);
-            for h in hits.iter() {
-                let sim = self.decay.apply(h.sim, h.dt);
-                if sim >= theta {
-                    self.stats.pairs_output += 1;
-                    out.push(SimilarPair::new(h.id, r.id, sim));
-                }
-            }
-            if *indexed {
-                index.insert(r);
-            }
+            self.index.process_routed(r, *indexed, out);
         }
-        self.live_postings = index.live_postings();
+        let indexed = self.index.live_postings();
         // Query phase: the current window probes the previous one.
         for (r, _) in &self.cur {
-            hits.clear();
-            index.query_into(r, hits);
-            for h in hits.iter() {
-                // ApplyDecay: only now is the time-dependent threshold
-                // enforced; the batch index worked on plain similarity.
-                let sim = self.decay.apply(h.sim, h.dt);
-                if sim >= theta {
-                    self.stats.pairs_output += 1;
-                    out.push(SimilarPair::new(h.id, r.id, sim));
-                }
-            }
+            self.index.query(r, out);
         }
-        let mut batch_stats = index.stats();
-        // Hand the window's allocations back for the next rebuild.
-        self.scratch = index.into_scratch();
-        // The batch engine counted its own outputs; ours are decay-
-        // filtered and already tallied above.
-        batch_stats.pairs_output = 0;
-        self.stats += batch_stats;
+        // The index scored every pair with the exact decay factor, so
+        // its counts (pairs included) are the window's as they stand.
+        self.stats += self.index.stats();
         self.stats.windows += 1;
         self.stats
-            .observe_postings(self.live_postings + self.buffered_coords());
+            .observe_postings(indexed + self.buffered_coords());
 
         std::mem::swap(&mut self.prev, &mut self.cur);
-        std::mem::swap(&mut self.prev_m, &mut self.cur_m);
         self.cur.clear();
-        self.cur_m.clear();
-        self.live_postings = 0;
     }
 
     fn buffered_coords(&self) -> u64 {
@@ -200,13 +158,7 @@ impl ShardableJoin for MiniBatch {
             self.window_end = Some(new_end);
         }
         self.cur.push((record.clone(), insert));
-        // §6.1: m must cover the querying window too, so every buffered
-        // record raises it — indexed or not.
-        for (d, w) in record.vector.iter() {
-            self.cur_m.update(d, w);
-        }
-        self.stats
-            .observe_postings(self.live_postings + self.buffered_coords());
+        self.stats.observe_postings(self.buffered_coords());
     }
 
     /// MB probes pairs as far apart as `2τ`, but `ApplyDecay` rejects
@@ -266,7 +218,7 @@ impl StreamJoin for MiniBatch {
     }
 
     fn live_postings(&self) -> u64 {
-        self.live_postings + self.buffered_coords()
+        self.buffered_coords()
     }
 
     fn name(&self) -> String {

@@ -49,6 +49,14 @@
 //!   *undecayed* windowed maximum ([`WindowedMaxVec`]) bounds
 //!   `dot(x, y) ≤ rs1w = Σ_j x_j·max_window(j)` instead, and vetoes a
 //!   list's new candidates by passing `rs2 = −∞` once `rs1w < θ`;
+//! * the static index of Algorithms 2–4 is this engine with time
+//!   filtering off (`Streaming::untimed`): `τ = ∞`, so nothing expires
+//!   and the one-bin table prunes with factor 1, `m̂` is the plain
+//!   maximum over indexed vectors and `m` is the caller's. Verification
+//!   still scores with the exact factor, which is MB's `ApplyDecay`.
+//!   MB runs every window on one such index, emptied between windows by
+//!   `Streaming::restart`, and [`crate::batch::all_pairs`] is static
+//!   APSS on it;
 //! * the index-construction bounds are replayed in squared space (no
 //!   per-coordinate square root), and the stored `‖y′_j‖` prefix norms
 //!   continue that recurrence so only indexed suffixes pay a `sqrt`;
@@ -219,6 +227,46 @@ impl Streaming {
         let mut join = Self::build(theta, IndexKind::L2, model, decay.window_max);
         join.generic = true;
         join
+    }
+
+    /// The static index of Algorithms 2–4 (see the module docs): STR
+    /// with `τ = ∞`, the exact one-bin table, an undecayed `m̂` and the
+    /// caller's `m`, which must cover every vector that will query or be
+    /// indexed, so that nothing is re-indexed. `model` only scores
+    /// verified pairs.
+    pub(crate) fn untimed(theta: f64, kind: IndexKind, model: DecayModel, m: MaxVector) -> Self {
+        let mut join = Self::build(theta, kind, model, false);
+        join.tau = f64::INFINITY;
+        join.table = DecayTable::new(model, f64::INFINITY);
+        join.mhat_lambda = DecayedMaxVec::new(0.0);
+        join.m = m;
+        join
+    }
+
+    /// Empties an [`untimed`](Self::untimed) index for the next batch,
+    /// whose max vector is `m`, and zeroes its stats. Keeps every
+    /// allocation; the residual lists are cleared through the rows that
+    /// filled them, so the AP state costs what the last batch touched.
+    pub(crate) fn restart(&mut self, m: MaxVector) {
+        debug_assert!(self.tau.is_infinite(), "restart is for untimed indexes");
+        for list in &mut self.lists {
+            if !list.is_empty() {
+                list.clear();
+            }
+        }
+        if self.policy.ap {
+            for ord in self.store.front()..self.store.end() {
+                let row = self.store.row(ord).expect("untimed rows never expire");
+                for &d in row.dims {
+                    self.residual_inverted[d as usize].clear();
+                }
+            }
+        }
+        self.store.clear();
+        self.mhat_lambda.clear();
+        self.m = m;
+        self.live_postings = 0;
+        self.stats = JoinStats::new();
     }
 
     fn build(theta: f64, kind: IndexKind, model: DecayModel, window_max: bool) -> Self {
@@ -433,18 +481,11 @@ impl Streaming {
                         if dt > tau {
                             return false;
                         }
-                        if policy.ap {
-                            match store.row(id) {
-                                Some(row) => {
-                                    if row.aux < sz1 {
-                                        return true;
-                                    }
-                                }
-                                // Rows are popped at the same horizon as
-                                // entries; a missing row means the
-                                // vector just expired.
-                                None => return true,
-                            }
+                        // Size filter. Rows are popped at the same
+                        // horizon as entries; a missing row means the
+                        // vector just expired.
+                        if policy.ap && store.aux(id).is_none_or(|size| size < sz1) {
+                            return true;
                         }
                         let df = table.upper(dt);
                         let remscore = rs1.min(rs2 * df);

@@ -1,7 +1,9 @@
-//! Targeted tests of the filtering bounds' observable behaviour: how the
-//! threshold shapes what gets indexed and verified.
+//! Targeted tests of the filtering bounds' observable behaviour in static
+//! all-pairs search: how the threshold shapes what gets indexed and
+//! verified.
 
-use sssj_index::{all_pairs, BatchIndex, BoundPolicy, IndexKind};
+use sssj_core::batch::all_pairs;
+use sssj_index::IndexKind;
 use sssj_types::{SparseVectorBuilder, StreamRecord, Timestamp};
 
 use rand::{RngExt, SeedableRng};
@@ -81,32 +83,30 @@ fn l2ap_verifies_no_more_candidates_than_l2() {
 
 #[test]
 fn query_then_insert_is_incremental() {
-    // Streams of queries interleaved with inserts see exactly the prefix
-    // indexed so far.
+    // Each record queries exactly the prefix indexed before it: every
+    // pair is reported by its later member, against an earlier one, and
+    // each prefix's pairs are a prefix of the whole run's.
     let data = random_dataset(50, 10, 4, 5);
-    let mut index = BatchIndex::new(0.2, BoundPolicy::L2);
-    let mut total_hits = 0;
-    for (i, r) in data.iter().enumerate() {
-        let hits = index.query(r);
-        for h in &hits {
-            assert!(h.id < r.id, "hit {} must precede query {}", h.id, r.id);
-        }
-        total_hits += hits.len();
-        index.insert(r);
-        assert_eq!(index.indexed_vectors(), i + 1);
+    let (pairs, _) = all_pairs(&data, 0.2, IndexKind::L2);
+    assert!(!pairs.is_empty(), "θ=0.2 on overlapping vectors must match");
+    for p in &pairs {
+        assert!(p.left < p.right, "{} must precede {}", p.left, p.right);
     }
-    assert!(total_hits > 0, "θ=0.2 on overlapping vectors must match");
+    for n in [10, 25, 40] {
+        let (prefix, _) = all_pairs(&data[..n], 0.2, IndexKind::L2);
+        let want: Vec<_> = pairs.iter().filter(|p| p.right < n as u64).collect();
+        assert_eq!(prefix.iter().collect::<Vec<_>>(), want, "prefix {n}");
+    }
 }
 
 #[test]
 fn stats_accumulate_monotonically() {
+    // L2 needs no dataset-wide max vector, so the run over each prefix is
+    // the whole run's state after that many records.
     let data = random_dataset(100, 15, 5, 6);
-    let mut index = BatchIndex::new(0.5, BoundPolicy::L2AP);
-    let mut prev = index.stats();
-    for r in &data {
-        index.query(r);
-        index.insert(r);
-        let now = index.stats();
+    let (_, mut prev) = all_pairs(&data[..0], 0.5, IndexKind::L2);
+    for n in 1..=data.len() {
+        let (_, now) = all_pairs(&data[..n], 0.5, IndexKind::L2);
         assert!(now.entries_traversed >= prev.entries_traversed);
         assert!(now.postings_added >= prev.postings_added);
         assert!(now.full_sims >= prev.full_sims);

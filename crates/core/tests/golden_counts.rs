@@ -91,7 +91,9 @@ fn golden_counts_dense() {
         ("str-l2?theta=0.5&lambda=0.001",   (3928460,  611180,   77248, 69558)),
         ("str-inv?theta=0.5&lambda=0.001",  (6273077, 1195241, 1195241, 86026)),
         ("str-l2ap?theta=0.5&lambda=0.001", (3906631,  591407,   66341, 69445)),
-        ("mb-l2?theta=0.5&lambda=0.001",    (3926178,  595208,  185683, 69535)),
+        ("mb-l2?theta=0.5&lambda=0.001",    (3928460,  596718,  184608, 69558)),
+        ("mb-inv?theta=0.5&lambda=0.001",   (6273077, 1195241, 1195241, 86026)),
+        ("mb-l2ap?theta=0.5&lambda=0.001",  (3916693,  575363,  134421, 69445)),
         ("decay?theta=0.5&model=exp:0.001", (3928460,  605390,   77016, 69558)),
     ]);
     // Each decay model has its own pair set, so each gets its own block.
@@ -116,7 +118,9 @@ fn golden_counts_tweets() {
         ("str-l2?theta=0.5&lambda=0.07",    (  55683,   18020,    2088, 125564)),
         ("str-inv?theta=0.5&lambda=0.07",   (  95236,   70814,   70814, 150763)),
         ("str-l2ap?theta=0.5&lambda=0.07",  ( 155248,    5445,    1110, 124036)),
-        ("mb-l2?theta=0.5&lambda=0.07",     (  81928,   51132,   10127, 125028)),
+        ("mb-l2?theta=0.5&lambda=0.07",     (  82755,   51836,   10061, 125564)),
+        ("mb-inv?theta=0.5&lambda=0.07",    ( 141443,  105215,  105215, 150763)),
+        ("mb-l2ap?theta=0.5&lambda=0.07",   (  65099,   17600,    6691, 113538)),
         ("decay?theta=0.5&model=exp:0.07",  (  55683,    9542,    1604, 125564)),
     ]);
     #[rustfmt::skip]

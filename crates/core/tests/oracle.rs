@@ -1,8 +1,10 @@
 //! End-to-end oracle tests: every framework × index combination must
-//! produce exactly the brute-force streaming join output.
+//! produce exactly the brute-force streaming join output, and every
+//! index exactly the brute-force static all-pairs output.
 
 use proptest::prelude::*;
-use sssj_baseline::brute_force_stream;
+use sssj_baseline::{brute_force_all_pairs, brute_force_stream};
+use sssj_core::batch::all_pairs;
 use sssj_core::{run_stream, Framework, JoinSpec, SssjConfig};
 use sssj_index::IndexKind;
 use sssj_types::{SimilarPair, SparseVectorBuilder, StreamRecord, Timestamp};
@@ -118,6 +120,63 @@ proptest! {
             let before = keys.len();
             keys.dedup();
             prop_assert_eq!(before, keys.len(), "{} duplicated pairs", framework);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Static APSS: all four index variants find exactly the brute-force
+    /// pairs (timestamps play no part).
+    #[test]
+    fn all_kinds_match_bruteforce(
+        records in stream(60, 24, 6),
+        theta in 0.2f64..0.95,
+    ) {
+        let expected = robust_keys(&brute_force_all_pairs(&records, theta), theta);
+        for kind in IndexKind::ALL {
+            let (pairs, _) = all_pairs(&records, theta, kind);
+            prop_assert_eq!(&robust_keys(&pairs, theta), &expected, "{} at θ={}", kind, theta);
+        }
+    }
+
+    /// Static APSS similarity scores, not only pair identities, match the
+    /// oracle.
+    #[test]
+    fn all_pairs_scores_match_bruteforce(
+        records in stream(40, 16, 5),
+        theta in 0.3f64..0.9,
+    ) {
+        let mut expected = brute_force_all_pairs(&records, theta);
+        expected.sort_by_key(|a| a.key());
+        for kind in IndexKind::ALL {
+            let (mut pairs, _) = all_pairs(&records, theta, kind);
+            pairs.sort_by_key(|a| a.key());
+            // Compare scores on the common (robust) subset.
+            for (e, g) in expected.iter().zip(pairs.iter()) {
+                if e.key() == g.key() {
+                    prop_assert!((e.similarity - g.similarity).abs() < 1e-9, "{}", kind);
+                }
+            }
+        }
+    }
+
+    /// Work ordering: pruning indexes never traverse more posting entries
+    /// than INV, nor index more.
+    #[test]
+    fn pruning_never_increases_inv_traversal(
+        records in stream(50, 16, 6),
+        theta in 0.5f64..0.95,
+    ) {
+        let (_, inv) = all_pairs(&records, theta, IndexKind::Inv);
+        for kind in [IndexKind::L2, IndexKind::L2ap] {
+            let (_, s) = all_pairs(&records, theta, kind);
+            prop_assert!(
+                s.entries_traversed <= inv.entries_traversed,
+                "{} traversed {} > INV {}", kind, s.entries_traversed, inv.entries_traversed
+            );
+            prop_assert!(s.postings_added <= inv.postings_added);
         }
     }
 }

@@ -34,13 +34,16 @@
 //! set is a function of the record set, independent of window phase,
 //! shard routing or batch timing — replay + continuation regenerates
 //! `P` and emits it. Conversely recovery never invents pairs: replay
-//! runs the same engines over the same records. Duplicates are possible
-//! only for pairs emitted between the last checkpoint and the crash —
-//! the standard at-least-once tail — and *within* one process each pair
-//! is emitted at most once. This is exactly what
-//! `tests/crash_recovery.rs` asserts, mid-frame truncation included.
+//! runs the same engines over the same records. The suppression set
+//! counts each `(left, right)` key once per delivery, because a vector
+//! id that arrives twice pairs once per arrival under the same key.
+//! Duplicates are possible only for pairs emitted between the last
+//! checkpoint and the crash — the standard at-least-once tail — and
+//! *within* one process each pair of arrivals is emitted at most once.
+//! This is exactly what `tests/crash_recovery.rs` asserts, mid-frame
+//! truncation included.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -208,11 +211,13 @@ pub struct DurableJoin {
     /// oldest retained WAL record: older pairs can never be regenerated.
     recent: VecDeque<(u64, u64, f64)>,
     /// Pairs a *previous* incarnation already emitted (loaded from the
-    /// checkpoint at recovery). Any engine output matching is dropped —
-    /// and removed, since an engine emits each pair at most once. Empty
+    /// checkpoint at recovery), each with how many times: a vector id
+    /// that arrived twice pairs once per arrival, under the same key.
+    /// Each matching engine output is dropped and uses up one count, so
+    /// replay suppresses exactly as many copies as were delivered. Empty
     /// for fresh stores; cleared wholesale once the stream passes
     /// `suppress_deadline`.
-    suppress: HashSet<(u64, u64)>,
+    suppress: HashMap<(u64, u64), u32>,
     /// Stream time after which nothing can regenerate a suppressed pair
     /// (recovered watermark + engine replay horizon): every suppressed
     /// pair's later member predates the watermark, and a record beyond
@@ -291,7 +296,7 @@ impl DurableJoin {
                 last_t: f64::NEG_INFINITY,
                 since_ckpt: 0,
                 recent: VecDeque::new(),
-                suppress: HashSet::new(),
+                suppress: HashMap::new(),
                 suppress_deadline: f64::NEG_INFINITY,
                 stash: Vec::new(),
                 ckpt_name: None,
@@ -312,7 +317,7 @@ impl DurableJoin {
             checkpoint::prune_superseded(dir, &checkpoint::file_name(c.seq));
         }
         let mut recent: VecDeque<(u64, u64, f64)> = VecDeque::new();
-        let mut suppress: HashSet<(u64, u64)> = HashSet::new();
+        let mut suppress: HashMap<(u64, u64), u32> = HashMap::new();
         if let Some(c) = &ckpt {
             if c.spec != spec_text {
                 return Err(StoreError::SpecMismatch {
@@ -325,7 +330,7 @@ impl DurableJoin {
                 .map_err(|e| StoreError::Corrupt(format!("checkpoint aux: {e}")))?;
             for &(l, r, t) in &c.emitted {
                 recent.push_back((l, r, t));
-                suppress.insert((l, r));
+                *suppress.entry((l, r)).or_insert(0) += 1;
             }
         }
         let scan = Wal::open_existing(dir, opts.segment_records, opts.sync_appends)?;
@@ -393,14 +398,14 @@ impl DurableJoin {
             // checkpoint claim them as delivered while no caller has
             // seen them.
             for p in pairs.drain(..) {
-                if self.suppress.remove(&(p.left, p.right)) {
+                if take_suppressed(&mut self.suppress, &p) {
                     continue;
                 }
                 self.stash.push(p);
             }
         } else {
             pairs.retain(|p| {
-                if self.suppress.remove(&(p.left, p.right)) {
+                if take_suppressed(&mut self.suppress, p) {
                     return false;
                 }
                 self.recent.push_back((p.left, p.right, stamp));
@@ -631,11 +636,11 @@ impl StreamJoin for DurableJoin {
         self.engine.process(record, out);
         if !self.suppress.is_empty() {
             if self.last_t > self.suppress_deadline {
-                self.suppress = HashSet::new();
+                self.suppress = HashMap::new();
             } else {
                 let mut keep = out_start;
                 for i in out_start..out.len() {
-                    if !self.suppress.remove(&(out[i].left, out[i].right)) {
+                    if !take_suppressed(&mut self.suppress, &out[i]) {
                         out.swap(keep, i);
                         keep += 1;
                     }
@@ -697,6 +702,19 @@ impl StreamJoin for DurableJoin {
     fn resume_point(&self) -> Option<(u64, f64)> {
         self.resumed.then_some((self.seq, self.last_t))
     }
+}
+
+/// Whether `p` is a delivered pair still owed suppression; if so, uses
+/// up one of its counts.
+fn take_suppressed(suppress: &mut HashMap<(u64, u64), u32>, p: &SimilarPair) -> bool {
+    let key = (p.left, p.right);
+    let Some(n) = suppress.remove(&key) else {
+        return false;
+    };
+    if n > 1 {
+        suppress.insert(key, n - 1);
+    }
+    true
 }
 
 /// The result of [`recover`].

@@ -204,6 +204,40 @@ fn decay_checkpoint_with_empty_aux_reopens() {
     assert_eq!(sorted_keys(&tail), sorted_keys(&reference));
 }
 
+/// A vector id that arrives twice pairs once per arrival under one key.
+/// A checkpoint taken after both pairs were delivered must suppress both
+/// on replay: the reopened store owes nothing.
+#[test]
+fn repeated_id_pairs_delivered_before_the_checkpoint_stay_delivered() {
+    let unit = |dims: &[u32]| {
+        let mut b = SparseVectorBuilder::new();
+        for &d in dims {
+            b.push(d, 1.0);
+        }
+        b.build_normalized().unwrap()
+    };
+    let stream = [
+        StreamRecord::new(0, Timestamp::new(0.0), unit(&[1, 2])),
+        StreamRecord::new(0, Timestamp::new(1.0), unit(&[3, 4])),
+        StreamRecord::new(7, Timestamp::new(2.0), unit(&[1, 2, 3, 4])),
+    ];
+    let config = SssjConfig::new(0.3, 0.01);
+    let dir = tmp_dir("repeated-id");
+    let mut durable = open(config, IndexKind::L2, &dir);
+    let mut out = Vec::new();
+    for r in &stream {
+        durable.process(r, &mut out);
+    }
+    assert_eq!(sorted_keys(&out), vec![(0, 7), (0, 7)]);
+    durable.checkpoint(&mut out).unwrap();
+    drop(durable);
+
+    let mut reopened = open(config, IndexKind::L2, &dir);
+    assert!(reopened.take_recovered_pairs().is_empty());
+    drop(reopened);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The live checkpoint file of a stopped store.
 fn live_checkpoint(dir: &Path) -> PathBuf {
     fs::read_dir(dir)

@@ -58,14 +58,6 @@ pub fn dot_merge(a: &SparseVector, b: &SparseVector) -> Weight {
     sssj_kernels::dot_merge(a.dims(), a.weights(), b.dims(), b.weights())
 }
 
-/// Dot product of a sparse vector against a dense weight array indexed by
-/// dimension. Out-of-range dimensions contribute zero.
-///
-/// Used to evaluate `dot(x, m̂)` against the running max vector.
-pub fn dot_with_dense(a: &SparseVector, dense: &[Weight]) -> Weight {
-    sssj_kernels::dot_dense(a.dims(), a.weights(), dense)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,10 +110,10 @@ mod tests {
         let a = unit_vector(&[(0, 3.0), (2, 4.0)]);
         let dense = [1.0, 9.0, 0.5];
         let expect = a.get(0) * 1.0 + a.get(2) * 0.5;
-        assert!((dot_with_dense(&a, &dense) - expect).abs() < 1e-12);
+        let dense_dot = |v: &SparseVector| sssj_kernels::dot_dense(v.dims(), v.weights(), &dense);
+        assert!((dense_dot(&a) - expect).abs() < 1e-12);
         // Dimensions past the dense array contribute nothing.
-        let b = unit_vector(&[(10, 1.0)]);
-        assert_eq!(dot_with_dense(&b, &dense), 0.0);
+        assert_eq!(dense_dot(&unit_vector(&[(10, 1.0)])), 0.0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod vector;
 
 pub use decay::{Decay, DecayTable};
 pub use decay_model::DecayModel;
-pub use dot::{dot, dot_merge, dot_sorted, dot_with_dense, PROBE_CROSSOVER};
+pub use dot::{dot, dot_merge, dot_sorted, PROBE_CROSSOVER};
 pub use error::TypesError;
 pub use forward_decay::ForwardDecay;
 pub use norm::{norm, prefix_norms, prefix_norms_into};

@@ -1,17 +1,19 @@
 //! Static all-pairs similarity search — the batch building block.
 //!
-//! The streaming frameworks are built on the classic APSS indexes; they
-//! are useful on their own for static datasets. This example runs all
-//! four index variants over the same corpus and compares their work
-//! counters: identical output, very different amounts of work.
+//! Static APSS runs on the streaming engine with time filtering off (the
+//! index MiniBatch builds per window), so the classic APSS indexes are
+//! useful on their own for static datasets. This example runs all four
+//! index variants over the same corpus and compares their work counters:
+//! identical output, very different amounts of work.
 //!
 //! ```sh
 //! cargo run --release --example batch_apss
 //! ```
 
+use sssj::core::batch::all_pairs;
 use sssj::data::{generate, preset, Preset};
 use sssj::metrics::TextTable;
-use sssj::prelude::*;
+use sssj::prelude::IndexKind;
 
 fn main() {
     let records = generate(&preset(Preset::Rcv1, 2_000));

@@ -449,13 +449,14 @@ pub fn register_all_engines() {
 /// The one-stop import for applications.
 pub mod prelude {
     pub use crate::register_all_engines;
+    pub use sssj_core::batch::all_pairs;
     pub use sssj_core::{
         advise, advise_from_examples, run_stream, Advice, Checkpointable, DecaySpec, EngineSpec,
         Framework, JoinBuilder, JoinSpec, LshSpec, MiniBatch, ReorderBuffer, ShardableJoin,
         ShardedInner, SpecError, SssjConfig, StreamJoin, Streaming, TopKJoin, WrapperSpec,
     };
     pub use sssj_graph::{GraphHandle, GraphJoin, GraphStats, SimilarityGraph};
-    pub use sssj_index::{all_pairs, BatchIndex, BoundPolicy, IndexKind};
+    pub use sssj_index::{BoundPolicy, IndexKind};
     pub use sssj_lsh::{LshJoin, LshParams};
     pub use sssj_parallel::{run_sharded, sharded_run, RoutingMode, ShardReport, ShardedJoin};
     pub use sssj_segments::{
