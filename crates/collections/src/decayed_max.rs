@@ -81,10 +81,13 @@ impl DecayedMaxVec {
         self.values[d] * (-self.lambda * (t - last)).exp()
     }
 
-    /// Clears all state; keeps allocations.
-    pub fn clear(&mut self) {
-        self.values.clear();
-        self.times.clear();
+    /// Forgets dimension `dim` in O(1), as if it had never been updated.
+    pub fn reset(&mut self, dim: u32) {
+        let d = dim as usize;
+        if d < self.values.len() {
+            self.values[d] = 0.0;
+            self.times[d] = f64::NEG_INFINITY;
+        }
     }
 }
 

@@ -65,6 +65,14 @@ impl MaxVector {
     pub fn clear(&mut self) {
         self.values.clear();
     }
+
+    /// Zeroes the maximum at `dim` in O(1): unlike [`MaxVector::clear`],
+    /// the next update does not refill every dimension below it.
+    pub fn reset(&mut self, dim: u32) {
+        if let Some(v) = self.values.get_mut(dim as usize) {
+            *v = 0.0;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -102,5 +110,16 @@ mod tests {
         m.clear();
         assert_eq!(m.get(1), 0.0);
         assert_eq!(m.dims(), 0);
+    }
+
+    #[test]
+    fn reset_zeroes_one_dimension() {
+        let mut m = MaxVector::new();
+        m.update(1, 1.0);
+        m.update(4, 0.5);
+        m.reset(1);
+        m.reset(99);
+        assert_eq!((m.get(1), m.get(4), m.dims()), (0.0, 0.5, 5));
+        assert!(m.update(1, 0.2));
     }
 }

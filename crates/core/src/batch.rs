@@ -21,24 +21,11 @@
 //! assert_eq!(pairs.len(), 1); // only the identical pair (0, 1)
 //! ```
 
-use sssj_collections::MaxVector;
 use sssj_index::IndexKind;
 use sssj_metrics::JoinStats;
 use sssj_types::{DecayModel, SimilarPair, StreamRecord};
 
 use crate::{StreamJoin, Streaming};
-
-/// Computes the per-dimension maximum `m` over a dataset — the first pass
-/// the AP-family bounds require.
-pub fn max_vector_of(records: &[StreamRecord]) -> MaxVector {
-    let mut m = MaxVector::new();
-    for r in records {
-        for (d, w) in r.vector.iter() {
-            m.update(d, w);
-        }
-    }
-    m
-}
 
 /// Finds all pairs with plain cosine similarity ≥ θ in `records` — the
 /// static APSS problem, solved by incremental query-then-insert over the
@@ -50,12 +37,8 @@ pub fn all_pairs(
     theta: f64,
     kind: IndexKind,
 ) -> (Vec<SimilarPair>, JoinStats) {
-    let m = if kind.policy().ap {
-        max_vector_of(records)
-    } else {
-        MaxVector::new()
-    };
-    let mut index = Streaming::untimed(theta, kind, DecayModel::exponential(0.0), m);
+    let mut index = Streaming::untimed(theta, kind, DecayModel::exponential(0.0));
+    index.seed_max(records.iter().flat_map(|r| r.vector.iter()));
     let mut pairs = Vec::new();
     for r in records {
         index.process(r, &mut pairs);
@@ -77,17 +60,6 @@ mod tests {
         let mut keys: Vec<_> = pairs.iter().map(|p| p.key()).collect();
         keys.sort_unstable();
         keys
-    }
-
-    #[test]
-    fn max_vector_is_pointwise_max() {
-        let data = vec![rec(0, &[(1, 3.0), (2, 4.0)]), rec(1, &[(2, 1.0), (3, 1.0)])];
-        let m = max_vector_of(&data);
-        assert!((m.get(1) - 0.6).abs() < 1e-12);
-        assert!((m.get(2) - 0.8).abs() < 1e-12);
-        let inv_sqrt2 = 1.0 / 2.0f64.sqrt();
-        assert!((m.get(3) - inv_sqrt2).abs() < 1e-12);
-        assert_eq!(m.get(99), 0.0);
     }
 
     #[test]
@@ -197,6 +169,33 @@ mod tests {
             l2.entries_traversed < inv.entries_traversed,
             "L2 should traverse fewer entries than INV"
         );
+    }
+
+    #[test]
+    fn l2ap_stats_accumulate_monotonically() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(6);
+        let data: Vec<StreamRecord> = (0..100)
+            .map(|i| {
+                let entries: Vec<(u32, f64)> = (0..5)
+                    .map(|_| (rng.random_range(0..15u32), rng.random_range(0.05..1.0)))
+                    .collect();
+                rec(i, &entries)
+            })
+            .collect();
+        let mut index = Streaming::untimed(0.5, IndexKind::L2ap, DecayModel::exponential(0.0));
+        index.seed_max(data.iter().flat_map(|r| r.vector.iter()));
+        let (mut out, mut prev) = (Vec::new(), index.stats());
+        for r in &data {
+            index.process(r, &mut out);
+            let now = index.stats();
+            assert!(now.entries_traversed >= prev.entries_traversed);
+            assert!(now.postings_added >= prev.postings_added);
+            assert!(now.full_sims >= prev.full_sims);
+            prev = now;
+        }
+        assert!(prev.postings_added > 0 && prev.full_sims > 0);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! between windows, whose verification applies the exact decay factor
 //! against `θ` — the paper's `ApplyDecay`.
 
-use sssj_collections::MaxVector;
 use sssj_metrics::JoinStats;
-use sssj_types::{SimilarPair, StreamRecord};
+use sssj_types::{SimilarPair, SparseVector, StreamRecord};
 
 use sssj_index::IndexKind;
 
@@ -37,7 +36,6 @@ use crate::Streaming;
 /// ones, so the output is complete.
 pub struct MiniBatch {
     config: SssjConfig,
-    kind: IndexKind,
     tau: f64,
     window_end: Option<f64>,
     /// Buffered windows; the flag marks records this join *indexes* (in
@@ -58,12 +56,11 @@ impl MiniBatch {
     pub fn new(config: SssjConfig, kind: IndexKind) -> Self {
         MiniBatch {
             config,
-            kind,
             tau: config.tau(),
             window_end: None,
             prev: Vec::new(),
             cur: Vec::new(),
-            index: Streaming::untimed(config.theta, kind, config.decay().into(), MaxVector::new()),
+            index: Streaming::untimed(config.theta, kind, config.decay().into()),
             stats: JoinStats::new(),
         }
     }
@@ -75,7 +72,7 @@ impl MiniBatch {
 
     /// The index variant.
     pub fn kind(&self) -> IndexKind {
-        self.kind
+        self.index.kind()
     }
 
     /// Estimated heap footprint of the buffered state, in bytes.
@@ -100,17 +97,9 @@ impl MiniBatch {
     /// cross-window pairs), then shifts the windows.
     fn flush_window(&mut self, out: &mut Vec<SimilarPair>) {
         // §6.1: m must cover both the indexed and the querying window,
-        // every buffered record — indexed or not. Only the AP bounds read
-        // it; the other indexes leave it empty.
-        let mut m = MaxVector::new();
-        if self.kind.policy().ap {
-            for (r, _) in self.prev.iter().chain(&self.cur) {
-                for (d, w) in r.vector.iter() {
-                    m.update(d, w);
-                }
-            }
-        }
-        self.index.restart(m);
+        // every buffered record — indexed or not.
+        let coords = buffered(&self.prev, &self.cur).flat_map(SparseVector::iter);
+        self.index.seed_max(coords);
         // IndConstr over the previous window: query-then-insert finds all
         // pairs within it. Unflagged (non-owned) records query but are
         // never indexed, so a pair is reported only by the shard that
@@ -130,14 +119,24 @@ impl MiniBatch {
         self.stats
             .observe_postings(indexed + self.buffered_coords());
 
+        self.index.restart(buffered(&self.prev, &self.cur));
         std::mem::swap(&mut self.prev, &mut self.cur);
         self.cur.clear();
     }
 
     fn buffered_coords(&self) -> u64 {
-        (self.prev.iter().map(|(r, _)| r.vector.nnz()).sum::<usize>()
-            + self.cur.iter().map(|(r, _)| r.vector.nnz()).sum::<usize>()) as u64
+        buffered(&self.prev, &self.cur)
+            .map(|x| x.nnz() as u64)
+            .sum()
     }
+}
+
+/// The vectors of both buffered windows, indexed or not.
+fn buffered<'a>(
+    prev: &'a [(StreamRecord, bool)],
+    cur: &'a [(StreamRecord, bool)],
+) -> impl Iterator<Item = &'a SparseVector> {
+    prev.iter().chain(cur).map(|(r, _)| &r.vector)
 }
 
 impl ShardableJoin for MiniBatch {
@@ -222,7 +221,7 @@ impl StreamJoin for MiniBatch {
     }
 
     fn name(&self) -> String {
-        format!("MB-{}", self.kind)
+        format!("MB-{}", self.index.kind())
     }
 }
 

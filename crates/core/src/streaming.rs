@@ -52,11 +52,11 @@
 //! * the static index of Algorithms 2–4 is this engine with time
 //!   filtering off (`Streaming::untimed`): `τ = ∞`, so nothing expires
 //!   and the one-bin table prunes with factor 1, `m̂` is the plain
-//!   maximum over indexed vectors and `m` is the caller's. Verification
+//!   maximum over indexed vectors and the caller seeds `m`. Verification
 //!   still scores with the exact factor, which is MB's `ApplyDecay`.
-//!   MB runs every window on one such index, emptied between windows by
-//!   `Streaming::restart`, and [`crate::batch::all_pairs`] is static
-//!   APSS on it;
+//!   MB runs every window on one such index, emptied between windows
+//!   by `Streaming::restart` through the two windows' dimensions alone,
+//!   and [`crate::batch::all_pairs`] is static APSS on it;
 //! * the index-construction bounds are replayed in squared space (no
 //!   per-coordinate square root), and the stored `‖y′_j‖` prefix norms
 //!   continue that recurrence so only indexed suffixes pay a `sqrt`;
@@ -230,41 +230,38 @@ impl Streaming {
     }
 
     /// The static index of Algorithms 2–4 (see the module docs): STR
-    /// with `τ = ∞`, the exact one-bin table, an undecayed `m̂` and the
-    /// caller's `m`, which must cover every vector that will query or be
-    /// indexed, so that nothing is re-indexed. `model` only scores
-    /// verified pairs.
-    pub(crate) fn untimed(theta: f64, kind: IndexKind, model: DecayModel, m: MaxVector) -> Self {
+    /// with `τ = ∞`, the exact one-bin table and an undecayed `m̂`.
+    /// Before the first query, [`Streaming::seed_max`] must cover `m`
+    /// with every vector that will query or be indexed, so that nothing
+    /// is re-indexed. `model` only scores verified pairs.
+    pub(crate) fn untimed(theta: f64, kind: IndexKind, model: DecayModel) -> Self {
         let mut join = Self::build(theta, kind, model, false);
         join.tau = f64::INFINITY;
         join.table = DecayTable::new(model, f64::INFINITY);
         join.mhat_lambda = DecayedMaxVec::new(0.0);
-        join.m = m;
         join
     }
 
-    /// Empties an [`untimed`](Self::untimed) index for the next batch,
-    /// whose max vector is `m`, and zeroes its stats. Keeps every
-    /// allocation; the residual lists are cleared through the rows that
-    /// filled them, so the AP state costs what the last batch touched.
-    pub(crate) fn restart(&mut self, m: MaxVector) {
+    /// Empties an [`untimed`](Self::untimed) index for the next batch and
+    /// zeroes its stats, keeping every allocation. `batch` must hold
+    /// every vector indexed or queried since the index was built or last
+    /// restarted: only their dimensions are cleared, so a restart costs
+    /// what the batch touched, not the dimensionality. The next batch's
+    /// `m` is then seeded with [`Streaming::seed_max`].
+    pub(crate) fn restart<'a>(&mut self, batch: impl IntoIterator<Item = &'a SparseVector>) {
         debug_assert!(self.tau.is_infinite(), "restart is for untimed indexes");
-        for list in &mut self.lists {
-            if !list.is_empty() {
+        for (d, _) in batch.into_iter().flat_map(SparseVector::iter) {
+            if let Some(list) = self.lists.get_mut(d as usize) {
                 list.clear();
             }
-        }
-        if self.policy.ap {
-            for ord in self.store.front()..self.store.end() {
-                let row = self.store.row(ord).expect("untimed rows never expire");
-                for &d in row.dims {
-                    self.residual_inverted[d as usize].clear();
-                }
+            if let Some(ords) = self.residual_inverted.get_mut(d as usize) {
+                ords.clear();
             }
+            self.m.reset(d);
+            self.mhat_lambda.reset(d);
         }
+        debug_assert!(self.lists.iter().all(PostingBlock::is_empty));
         self.store.clear();
-        self.mhat_lambda.clear();
-        self.m = m;
         self.live_postings = 0;
         self.stats = JoinStats::new();
     }
@@ -829,7 +826,8 @@ impl Streaming {
         self.insert(record);
     }
 
-    /// Pre-seeds the AP running-max vector `m` (checkpoint restore).
+    /// Pre-seeds the AP running-max vector `m` (checkpoint restore, and
+    /// the whole batch before an untimed index runs; see the module docs).
     ///
     /// `m` accumulates over the *whole* stream, not just the horizon; a
     /// restored join that rebuilt `m` from buffered records alone would

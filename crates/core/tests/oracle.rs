@@ -138,6 +138,11 @@ proptest! {
         for kind in IndexKind::ALL {
             let (pairs, _) = all_pairs(&records, theta, kind);
             prop_assert_eq!(&robust_keys(&pairs, theta), &expected, "{} at θ={}", kind, theta);
+            // `robust_keys` dedups; a pair reported twice must still fail.
+            let mut keys: Vec<_> = pairs.iter().map(|p| p.key()).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            prop_assert_eq!(keys.len(), pairs.len(), "{} reported a pair twice", kind);
         }
     }
 

@@ -43,6 +43,7 @@
 //! This is exactly what `tests/crash_recovery.rs` asserts, mid-frame
 //! truncation included.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -707,12 +708,12 @@ impl StreamJoin for DurableJoin {
 /// Whether `p` is a delivered pair still owed suppression; if so, uses
 /// up one of its counts.
 fn take_suppressed(suppress: &mut HashMap<(u64, u64), u32>, p: &SimilarPair) -> bool {
-    let key = (p.left, p.right);
-    let Some(n) = suppress.remove(&key) else {
+    let Entry::Occupied(mut n) = suppress.entry((p.left, p.right)) else {
         return false;
     };
-    if n > 1 {
-        suppress.insert(key, n - 1);
+    *n.get_mut() -= 1;
+    if *n.get() == 0 {
+        n.remove();
     }
     true
 }
