@@ -4,9 +4,10 @@
 //! `C[ι(y)]` of Algorithm 3. Queries arrive continuously, so the map must
 //! be reset after every query in O(1), not O(capacity).
 //!
-//! The keys rise in arrival order: STR keys by row ordinal (its
+//! The keys rise in arrival order: `sssj_core::Streaming` (STR, MB,
+//! static APSS and the decay engine alike) keys by row ordinal (its
 //! `crate::ArrivalStore` numbers rows `0, 1, 2, …`, so a repeated vector
-//! id is two keys), the decay and MB engines by vector id. Every
+//! id is two keys). Every
 //! candidate the streaming indexes can produce is *alive* — within the
 //! time horizon — so the live key range is a dense, slowly sliding
 //! window `[base, base + span)`. The accumulator exploits that: scores
@@ -23,8 +24,9 @@
 //!
 //! # The list pass
 //!
-//! STR-L2 under any decay model (`sssj_core::Streaming`) spends most
-//! of a dense record in [`ScoreAccumulator::accumulate_l2_list_rev`]:
+//! Every time-ordered index of `sssj_core::Streaming` (L2 under any
+//! decay model, and INV with its bounds off) spends most of a dense
+//! record in [`ScoreAccumulator::accumulate_l2_list_rev`]:
 //! one newest-first pass over a time-ordered posting list that computes
 //! each posting's decay bound (from the engine's quantized decay table),
 //! score delta, prune threshold and admission flag four at a time in
@@ -285,6 +287,10 @@ impl ScoreAccumulator {
     /// needs a non-empty table with `p.inv_step > 0` (every
     /// `sssj_types::DecayTable` is one) and gaps `p.now − t` that are
     /// not NaN.
+    ///
+    /// With `p.theta_slack = −∞`, `p.rs2 = 1` and `p.xnorm_before = 0`
+    /// the bounds are off: every posting is admitted and none is pruned,
+    /// which is the INV index's rule (see [`L2BatchParams`]).
     pub fn accumulate_l2_list_rev(
         &mut self,
         postings: &[PackedPosting],
@@ -654,20 +660,6 @@ impl ScoreAccumulator {
         // SAFETY: the first `n` elements are initialised: the length at
         // entry, plus the offsets each step compress-stored.
         unsafe { self.touched.set_len(n) };
-        admitted
-    }
-
-    /// Applies kernel-prepared ids and score deltas newest entry first,
-    /// admitting every touched candidate and never pruning (the INV
-    /// index's rule). Returns how many entries were newly admitted.
-    pub fn accumulate_all_rev(&mut self, ids: &[u64], deltas: &[f64]) -> u32 {
-        debug_assert_eq!(ids.len(), deltas.len());
-        let mut admitted = 0u32;
-        for i in (0..ids.len()).rev() {
-            if let Accumulated::Admitted(_) = self.accumulate(ids[i], deltas[i], true) {
-                admitted += 1;
-            }
-        }
         admitted
     }
 
@@ -1249,10 +1241,30 @@ mod tests {
 
     #[test]
     fn accumulate_all_rev_admits_everything() {
-        let ids = [4u64, 8, 4, 15];
-        let deltas = [0.25, 0.5, 0.25, 1.0];
+        // The list pass with INV's parameters (bounds off) admits every
+        // posting and prunes none, whatever the decay factor.
+        let posting = |id, weight, t| PackedPosting {
+            id,
+            weight,
+            prefix_norm: 0.5,
+            t,
+        };
+        let postings = [
+            posting(4, 0.25, 0.0),
+            posting(8, 0.5, 1.0),
+            posting(4, 0.25, 2.0),
+            posting(15, 1.0, 3.0),
+        ];
+        let inv = L2BatchParams {
+            xj: 1.0,
+            now: 3.0,
+            xnorm_before: 0.0,
+            rs2: 1.0,
+            theta_slack: f64::NEG_INFINITY,
+            inv_step: 1.0,
+        };
         let mut a = ScoreAccumulator::new();
-        let admitted = a.accumulate_all_rev(&ids, &deltas);
+        let admitted = a.accumulate_l2_list_rev(&postings, &inv, &[1.0, 0.5, 0.0]);
         assert_eq!(admitted, 3, "4 appears twice, admitted once");
         assert_eq!(a.get(4), 0.5);
         assert_eq!(a.get(8), 0.5);

@@ -48,26 +48,7 @@ impl MaxVector {
         &self.values
     }
 
-    /// Merges another max vector into this one (used by the MiniBatch
-    /// framework to combine the `m` of two adjacent windows).
-    pub fn merge(&mut self, other: &MaxVector) {
-        if other.values.len() > self.values.len() {
-            self.values.resize(other.values.len(), 0.0);
-        }
-        for (d, &v) in other.values.iter().enumerate() {
-            if v > self.values[d] {
-                self.values[d] = v;
-            }
-        }
-    }
-
-    /// Clears all maxima; keeps the allocation.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
-
-    /// Zeroes the maximum at `dim` in O(1): unlike [`MaxVector::clear`],
-    /// the next update does not refill every dimension below it.
+    /// Zeroes the maximum at `dim` in O(1); the vector keeps its length.
     pub fn reset(&mut self, dim: u32) {
         if let Some(v) = self.values.get_mut(dim as usize) {
             *v = 0.0;
@@ -87,29 +68,6 @@ mod tests {
         assert!(m.update(3, 0.6));
         assert_eq!(m.get(3), 0.6);
         assert_eq!(m.get(99), 0.0);
-    }
-
-    #[test]
-    fn merge_takes_pointwise_max() {
-        let mut a = MaxVector::new();
-        a.update(0, 0.5);
-        a.update(2, 0.9);
-        let mut b = MaxVector::new();
-        b.update(0, 0.7);
-        b.update(4, 0.1);
-        a.merge(&b);
-        assert_eq!(a.get(0), 0.7);
-        assert_eq!(a.get(2), 0.9);
-        assert_eq!(a.get(4), 0.1);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut m = MaxVector::new();
-        m.update(1, 1.0);
-        m.clear();
-        assert_eq!(m.get(1), 0.0);
-        assert_eq!(m.dims(), 0);
     }
 
     #[test]

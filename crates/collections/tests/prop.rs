@@ -370,6 +370,63 @@ proptest! {
     }
 }
 
+/// The list pass with the INV index's parameters (`θₛ = −∞`, `rs2 = 1`,
+/// `‖x′‖ = 0`: bounds off) equals `accumulate(.., true)` applied newest
+/// first on every lane the host has — admitted count, touch order and
+/// every score bit — over lists shorter than a group of four, one group
+/// of eight and a masked oldest group, with rising, repeated and falling
+/// ids, negative and zero deltas, and zero decay factors.
+#[test]
+fn posting_products_lanes_are_bit_exact() {
+    let _lane = LaneGuard::lock();
+    let now = 12.0;
+    let factors = [1.0, 0.75, 0.0];
+    let inv = L2BatchParams {
+        xj: -0.37,
+        now,
+        xnorm_before: 0.0,
+        rs2: 1.0,
+        theta_slack: f64::NEG_INFINITY,
+        inv_step: 0.25,
+    };
+    let shapes: [fn(u64) -> u64; 3] = [|i| 100 + 2 * i, |i| 100 + i / 2, |i| 130 - 2 * i];
+    for len in [1u64, 2, 3, 8, 13] {
+        for (shape, id) in shapes.iter().enumerate() {
+            let postings: Vec<PackedPosting> = (0..len)
+                .map(|i| PackedPosting {
+                    id: id(i),
+                    weight: 0.01 * i as f64 - 0.05,
+                    prefix_norm: 0.2,
+                    t: i as f64,
+                })
+                .collect();
+            let mut model = ScoreAccumulator::new();
+            model.advance_floor(90);
+            let mut want_admitted = 0;
+            for q in postings.iter().rev() {
+                let step = model.accumulate(q.id, inv.xj * q.weight, true);
+                want_admitted += matches!(step, Accumulated::Admitted(_)) as u32;
+            }
+            let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            for lane in [Lane::Scalar, Lane::Sse41, Lane::Avx2, Lane::Avx512] {
+                force_lane(Some(lane));
+                if active_lane() != lane {
+                    // Above the hardware maximum: the forced lane was clamped.
+                    continue;
+                }
+                report_lane("posting_products_lanes_are_bit_exact", lane);
+                let mut sys = ScoreAccumulator::new();
+                sys.advance_floor(90);
+                let admitted = sys.accumulate_l2_list_rev(&postings, &inv, &factors);
+                let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
+                let case = format!("{lane:?}, {len} postings, id shape {shape}");
+                assert_eq!(admitted, want_admitted, "admitted on {case}");
+                assert_eq!(have, want, "scores on {case}");
+            }
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 enum StoreOp {
     /// Advance time by the gap, then push a row of this id with a

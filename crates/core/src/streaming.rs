@@ -25,8 +25,10 @@
 //! * the candidate score array is a dense, epoch-stamped
 //!   [`ScoreAccumulator`] keyed by ordinal and floored at the oldest
 //!   live row — O(1) reset, no hashing — so a slot's offset is its row
-//!   in the store's columns. STR-L2 walks each posting list once, newest
-//!   first, through [`ScoreAccumulator::accumulate_l2_list_rev`]: eight
+//!   in the store's columns. STR-L2 and STR-INV walk each time-ordered
+//!   posting list once, newest first, through
+//!   [`ScoreAccumulator::accumulate_l2_list_rev`] (INV with its bounds
+//!   off: `θₛ = −∞` admits every posting and prunes none): eight
 //!   postings at a time on AVX-512 (four on AVX2) it computes the decay
 //!   bounds, deltas, admission flags and prune thresholds and applies
 //!   them to the score slots in the same registers, with no arrays in
@@ -69,14 +71,15 @@
 //!   as `sssj_kernels::dot_dense` against the query scattered into a
 //!   dimension-indexed scratch (scattered at the first survivor and
 //!   cleared after the last, so a record with none pays nothing), times
-//!   the exact decay factor;
+//!   the exact decay factor once the undecayed score reaches `θ` (no
+//!   factor exceeds 1, so a score below `θ` skips it);
 //! * the store, the filter's output, the scatter scratch and the
 //!   accumulator reach their size and stay there — steady-state
 //!   processing performs **zero** heap allocations per record on the
-//!   STR-L2 path (asserted by `tests/zero_alloc.rs`).
+//!   STR-L2 and STR-INV paths (asserted by `tests/zero_alloc.rs`).
 
 use sssj_collections::{
-    ArrivalStore, DecayedMaxVec, MaxVector, PackedPosting, PostingBlock, ScoreAccumulator,
+    Accumulated, ArrivalStore, DecayedMaxVec, MaxVector, PostingBlock, ScoreAccumulator,
     SurvivorFilter, Survivors, WindowedMaxVec,
 };
 use sssj_kernels::L2BatchParams;
@@ -135,8 +138,10 @@ fn horizon_cutoff(now: f64, tau: f64) -> f64 {
 ///
 /// * **STR-INV / STR-L2** — posting lists stay time-ordered, so candidate
 ///   generation first drops the expired prefix (binary search on the time
-///   field + O(1) truncation, §6.2) and then scans only live entries —
-///   a flat walk over packed entries.
+///   field + O(1) truncation, §6.2) and then scans only live entries in
+///   one list pass, [`ScoreAccumulator::accumulate_l2_list_rev`]. INV
+///   takes the same pass with its bounds at −∞ (`θₛ = −∞`), so it admits
+///   every posting and prunes none.
 /// * **STR-L2AP** — the `b1` bound consults the running max vector `m`;
 ///   when a new arrival raises `m`, the prefix-filtering invariant breaks
 ///   and affected residuals are *re-indexed* (§5.3), which appends
@@ -392,13 +397,6 @@ impl Streaming {
         let mhat_lambda = &self.mhat_lambda;
         let table = &self.table;
 
-        // Fixed-size scratch for STR-INV's id/delta kernel: stack arrays,
-        // so the zero-allocation steady-state contract
-        // (`tests/zero_alloc.rs`) holds with batching too.
-        const BATCH: usize = 64;
-        let mut b_ids = [0u64; BATCH];
-        let mut b_deltas = [0.0f64; BATCH];
-
         for (dim, xj) in x.iter().rev() {
             if let Some(list) = lists.get_mut(dim as usize) {
                 // ‖x′_j‖ for the l2bound, recovered from the running
@@ -422,49 +420,34 @@ impl Streaming {
                     }
                     let postings = list.postings();
                     stats.entries_traversed += postings.len() as u64;
-                    if policy.l2 {
-                        // STR-L2, the paper's headline path: one
-                        // newest-first pass over the list (≡ the old
-                        // `.iter().rev()` walk, so first-touch — and
-                        // thus output — order is preserved) computes
-                        // each posting's decay bound, score delta,
-                        // admission flag and prune threshold and applies
-                        // them to the accumulator. The early ℓ2 prune
-                        // (Cauchy–Schwarz on the unscanned prefixes,
-                        // decayed) is folded into the per-entry
-                        // threshold `θₛ − ‖x′‖·pn·df`. The window-max
-                        // conjunct `min(rs1w, rs2·df) ≥ θₛ ⟺ rs1w ≥ θₛ ∧
-                        // rs2·df ≥ θₛ` vetoes with `rs2 = −∞`.
-                        let (factors, inv_step) = table.lookup();
-                        let params = L2BatchParams {
-                            xj,
-                            now,
-                            xnorm_before,
-                            rs2: if rs1w >= theta_slack {
-                                rs2
-                            } else {
-                                f64::NEG_INFINITY
-                            },
-                            theta_slack,
-                            inv_step,
-                        };
-                        stats.candidates +=
-                            acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
-                    } else {
-                        // STR-INV: no pruning bounds — accumulate all,
-                        // batched through the id/delta kernel.
-                        for chunk in postings.rchunks(BATCH) {
-                            let n = chunk.len();
-                            sssj_kernels::posting_products(
-                                PackedPosting::as_words(chunk),
-                                xj,
-                                &mut b_ids[..n],
-                                &mut b_deltas[..n],
-                            );
-                            stats.candidates +=
-                                acc.accumulate_all_rev(&b_ids[..n], &b_deltas[..n]) as u64;
-                        }
-                    }
+                    // One pass over the list, newest posting first (which
+                    // sets first-touch, and so output, order) computes
+                    // each posting's decay bound, score delta, admission
+                    // flag and prune threshold and applies them to the
+                    // accumulator. For L2 the early ℓ2 prune
+                    // (Cauchy–Schwarz on the unscanned prefixes, decayed)
+                    // is folded into the per-entry threshold
+                    // `θₛ − ‖x′‖·pn·df`, and the window-max conjunct
+                    // `min(rs1w, rs2·df) ≥ θₛ ⟺ rs1w ≥ θₛ ∧ rs2·df ≥ θₛ`
+                    // vetoes with `rs2 = −∞`. INV has no bounds: `θₛ = −∞`
+                    // with `rs2 = 1` (and `‖x′‖ = 0`) admits every posting
+                    // and prunes none (see `L2BatchParams`).
+                    let (list_rs2, list_theta) = match (policy.l2, rs1w >= theta_slack) {
+                        (true, true) => (rs2, theta_slack),
+                        (true, false) => (f64::NEG_INFINITY, theta_slack),
+                        (false, _) => (1.0, f64::NEG_INFINITY),
+                    };
+                    let (factors, inv_step) = table.lookup();
+                    let params = L2BatchParams {
+                        xj,
+                        now,
+                        xnorm_before,
+                        rs2: list_rs2,
+                        theta_slack: list_theta,
+                        inv_step,
+                    };
+                    stats.candidates +=
+                        acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
                 } else {
                     // Forward scan with in-place compaction (out-of-order
                     // lists cannot early-stop).
@@ -486,15 +469,16 @@ impl Streaming {
                         }
                         let df = table.upper(dt);
                         let remscore = rs1.min(rs2 * df);
-                        let current = acc.get(id);
-                        if current > 0.0 || remscore >= theta_slack {
-                            if current == 0.0 {
+                        let new = match acc.accumulate(id, xj * weight, remscore >= theta_slack) {
+                            Accumulated::Updated(new) => new,
+                            Accumulated::Admitted(new) => {
                                 stats.candidates += 1;
+                                new
                             }
-                            let new = acc.add(id, xj * weight);
-                            if policy.l2 && new + xnorm_before * pnorm * df < theta_slack {
-                                acc.zero(id);
-                            }
+                            Accumulated::Skipped => return true,
+                        };
+                        if policy.l2 && new + xnorm_before * pnorm * df < theta_slack {
+                            acc.zero(id);
                         }
                         true
                     });
@@ -526,8 +510,8 @@ impl Streaming {
     /// residual work for survivors only.
     ///
     /// Pruning tests use the table's decay *upper bound* (cannot lose a
-    /// pair); only candidates that reach the full similarity pay the
-    /// model's exact factor.
+    /// pair); only candidates whose full undecayed similarity reaches `θ`
+    /// pay the model's exact factor.
     fn candidate_verification(&mut self, record: &StreamRecord, out: &mut Vec<SimilarPair>) {
         let theta = self.theta;
         let theta_slack = theta - PRUNE_EPS;
@@ -586,7 +570,14 @@ impl Streaming {
                 }
             }
             let dot_res = sssj_kernels::dot_dense(row.dims, row.weights, &self.dense_x);
-            let sim = (c + dot_res) * self.model.factor(dt);
+            // Every model's factor is at most 1 (and θ > 0), and rounding
+            // is monotone, so an undecayed score below θ cannot decay to
+            // θ: skip the exact factor (an `exp` under the exponential).
+            let undecayed = c + dot_res;
+            if undecayed < theta {
+                continue;
+            }
+            let sim = undecayed * self.model.factor(dt);
             if sim >= theta {
                 self.stats.pairs_output += 1;
                 out.push(SimilarPair::new(row.id, record.id, sim));

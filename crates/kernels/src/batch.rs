@@ -37,6 +37,12 @@ pub const POSTING_TIME: usize = 3;
 
 /// Per-dimension invariants of the STR L2 candidate loop, fixed across
 /// one posting-list traversal.
+///
+/// An index without bounds (INV) runs the same loop with `xnorm_before =
+/// 0`, `rs2 = 1` and `theta_slack = −∞`: admission `1·df ≥ −∞` always
+/// holds and the prune threshold `−∞ − 0·pn·df` is −∞, so every posting
+/// is admitted and none is pruned. (`rs2 = ∞` would not do: a zero
+/// factor gives `∞·0 = NaN`, which refuses the posting.)
 #[derive(Clone, Copy, Debug)]
 pub struct L2BatchParams {
     /// The query's weight on this dimension.
@@ -50,7 +56,8 @@ pub struct L2BatchParams {
     /// (including the `NaN` from `-∞·0`, which compares false under both
     /// scalar `>=` and the ordered SIMD predicate).
     pub rs2: f64,
-    /// `θ − ε`: the admission/prune threshold with safety slack.
+    /// `θ − ε`: the admission/prune threshold with safety slack; `−∞`
+    /// turns every bound off (see above).
     pub theta_slack: f64,
     /// `1/step` of the quantized decay table (positive; a one-bin table
     /// uses 1).
@@ -190,33 +197,6 @@ pub fn l2_candidate(
         delta: p.xj * weight,
         prune_below: p.theta_slack - p.xnorm_before * prefix_norm * df,
         admit: p.rs2 * df >= p.theta_slack,
-    }
-}
-
-/// The INV-index batch: ids and score deltas `xj·w` only (no norms, no
-/// admission — INV admits every touched candidate).
-pub fn posting_products(raw: &[u64], xj: f64, out_ids: &mut [u64], out_deltas: &mut [f64]) {
-    let n = check_batch(raw, &[out_ids.len(), out_deltas.len()]);
-    match active_lane() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: lane selection verified the feature; lengths checked.
-        Lane::Avx2 | Lane::Avx512 => unsafe { posting_products_avx2(raw, xj, out_ids, out_deltas) },
-        _ => posting_products_scalar(0, n, raw, xj, out_ids, out_deltas),
-    }
-}
-
-fn posting_products_scalar(
-    from: usize,
-    to: usize,
-    raw: &[u64],
-    xj: f64,
-    out_ids: &mut [u64],
-    out_deltas: &mut [f64],
-) {
-    for i in from..to {
-        let b = i * POSTING_WORDS;
-        out_ids[i] = raw[b + POSTING_ID];
-        out_deltas[i] = xj * f64::from_bits(raw[b + POSTING_WEIGHT]);
     }
 }
 
@@ -360,7 +340,7 @@ pub mod avx2 {
     /// `4·(i+4)` words.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn transpose4(raw: &[u64], i: usize) -> (__m256d, __m256d, __m256d, __m256d) {
+    unsafe fn transpose4(raw: &[u64], i: usize) -> (__m256d, __m256d, __m256d, __m256d) {
         let base = raw.as_ptr().add(4 * i) as *const f64;
         let r0 = _mm256_loadu_pd(base);
         let r1 = _mm256_loadu_pd(base.add(4));
@@ -446,25 +426,6 @@ unsafe fn l2_candidate_batch_avx2(
         out_prune_below,
         out_admit,
     );
-}
-
-/// # Safety
-///
-/// Caller must have verified `avx2` and output lengths ≥ `raw.len()/4`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn posting_products_avx2(raw: &[u64], xj: f64, out_ids: &mut [u64], out_deltas: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let n = raw.len() / POSTING_WORDS;
-    let xjv = _mm256_set1_pd(xj);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let (ids, _times, weights, _pns) = avx2::transpose4(raw, i);
-        _mm256_storeu_pd(out_ids.as_mut_ptr().add(i) as *mut f64, ids);
-        _mm256_storeu_pd(out_deltas.as_mut_ptr().add(i), _mm256_mul_pd(xjv, weights));
-        i += 4;
-    }
-    posting_products_scalar(i, n, raw, xj, out_ids, out_deltas);
 }
 
 /// # Safety

@@ -26,9 +26,9 @@
 //! an implementation at the selected lane silently uses the next lower
 //! one (e.g. the batch kernels are AVX2-or-scalar). Every kernel of this
 //! crate runs its AVX2 body on the `avx512` lane; the one AVX-512 body
-//! is STR-L2's list pass in `sssj_collections`, which dispatches on the
-//! same [`Lane`]. On non-x86-64 targets everything is scalar and the
-//! SIMD modules compile away.
+//! is the time-ordered list pass in `sssj_collections`, which dispatches
+//! on the same [`Lane`]. On non-x86-64 targets everything is scalar and
+//! the SIMD modules compile away.
 //!
 //! # Tolerance contract
 //!
@@ -69,8 +69,8 @@ mod scan;
 #[cfg(target_arch = "x86_64")]
 pub use batch::avx2;
 pub use batch::{
-    decay_upper_batch, l2_candidate, l2_candidate_batch, posting_products, L2BatchParams,
-    L2Candidate, POSTING_ID, POSTING_PREFIX, POSTING_TIME, POSTING_WEIGHT, POSTING_WORDS,
+    decay_upper_batch, l2_candidate, l2_candidate_batch, L2BatchParams, L2Candidate, POSTING_ID,
+    POSTING_PREFIX, POSTING_TIME, POSTING_WEIGHT, POSTING_WORDS,
 };
 pub use dispatch::{active_lane, force_lane, Lane};
 pub use dot::{dot_dense, dot_merge, dot_probe};

@@ -6,8 +6,7 @@ use proptest::collection::vec;
 use proptest::proptest;
 use sssj_kernels::{
     decay_upper_batch, dot_dense, dot_merge, dot_probe, force_lane, l2_candidate_batch,
-    partition_time_strided, posting_products, reference, select_ge_strided, L2BatchParams, Lane,
-    POSTING_WORDS,
+    partition_time_strided, reference, select_ge_strided, L2BatchParams, Lane, POSTING_WORDS,
 };
 use std::sync::Mutex;
 
@@ -301,27 +300,6 @@ fn neg_infinity_rs2_vetoes_admission_on_every_lane() {
         admit
     }) {
         assert_eq!(admit, vec![0u8; 9], "{lane:?}");
-    }
-}
-
-#[test]
-fn posting_products_lanes_are_bit_exact() {
-    let postings: Vec<(u64, f64, f64, f64)> = (0..13)
-        .map(|i| (u64::MAX - i, 0.01 * i as f64 - 0.05, 0.2, i as f64))
-        .collect();
-    let raw = pack(&postings);
-    let runs = on_each_lane(|| {
-        let mut ids = vec![0u64; 13];
-        let mut deltas = vec![0.0f64; 13];
-        posting_products(&raw, -0.37, &mut ids, &mut deltas);
-        (ids, deltas)
-    });
-    let (_, base) = &runs[0];
-    for (lane, out) in &runs[1..] {
-        assert_eq!(out.0, base.0, "ids differ on {lane:?}");
-        for (g, w) in out.1.iter().zip(&base.1) {
-            assert!(g.to_bits() == w.to_bits(), "delta differs on {lane:?}");
-        }
     }
 }
 
