@@ -4,14 +4,14 @@
 //! Prints, for every framework × index at three grid corners, the peak
 //! live postings relative to (a) the densest τ-window of the stream and
 //! (b) the total coordinate count, plus entries-traversed ratios. The
-//! Table 2 budget constants in `experiments.rs` were chosen from this
-//! output (see EXPERIMENTS.md).
+//! Table 2 budget constants in `experiments.rs` (`TABLE2_WORK_FACTOR`,
+//! `TABLE2_MEMORY_HALVES`) were chosen from this output.
 //!
 //! ```sh
 //! cargo run --release -p sssj-bench --bin calibrate
 //! ```
 
-use sssj_bench::run_algorithm;
+use sssj_bench::{default_n, run_algorithm};
 use sssj_core::{Framework, JoinSpec, SssjConfig};
 use sssj_data::{generate, preset, Preset};
 use sssj_index::IndexKind;
@@ -36,13 +36,7 @@ fn window_coords(records: &[sssj_types::StreamRecord], tau: f64) -> u64 {
 
 fn main() {
     for p in [Preset::Tweets, Preset::Blogs, Preset::Rcv1, Preset::WebSpam] {
-        let n = match p {
-            Preset::WebSpam => 600,
-            Preset::Rcv1 => 2500,
-            Preset::Blogs => 2500,
-            _ => 6000,
-        };
-        let records = generate(&preset(p, n));
+        let records = generate(&preset(p, default_n(p, 1.0)));
         let coords: u64 = records.iter().map(|r| r.vector.nnz() as u64).sum();
         for (theta, lambda) in [(0.5, 1e-4), (0.5, 1e-2), (0.99, 1e-1)] {
             let cfg = SssjConfig::new(theta, lambda);

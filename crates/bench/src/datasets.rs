@@ -39,6 +39,11 @@ impl DatasetCache {
         }
     }
 
+    /// The scale factor streams are generated at.
+    pub(crate) fn scale(&self) -> f64 {
+        self.scale
+    }
+
     /// The stream for a preset, generated on first use.
     pub fn get(&mut self, which: Preset) -> &[StreamRecord] {
         let scale = self.scale;

@@ -91,21 +91,9 @@ impl Experiments {
             &JoinSpec::classic(framework, kind, SssjConfig::new(theta, lambda)),
             self.safety,
         );
-        self.runs += 1;
-        if self.progress {
-            let _ = write!(std::io::stderr(), ".");
-            let _ = std::io::stderr().flush();
-        }
+        self.note_run();
         self.memo.insert(key, result);
         result
-    }
-
-    fn write_csv(&self, name: &str, csv: &Csv) {
-        if let Some(dir) = &self.out_dir {
-            let path = dir.join(format!("{name}.csv"));
-            csv.write_to(&path)
-                .unwrap_or_else(|e| eprintln!("cannot write {}: {e}", path.display()));
-        }
     }
 
     /// Dataset accessor for the extension experiments (`extensions.rs`).
@@ -113,9 +101,19 @@ impl Experiments {
         self.cache.get(p).to_vec()
     }
 
-    /// CSV emission for the extension experiments.
-    pub(crate) fn emit_csv(&self, name: &str, csv: &Csv) {
-        self.write_csv(name, csv);
+    /// The dataset scale factor, for extension experiments that generate
+    /// their own streams.
+    pub(crate) fn scale(&self) -> f64 {
+        self.cache.scale()
+    }
+
+    /// Writes `csv` as `<out_dir>/<name>.csv`, unless CSVs are off.
+    pub(crate) fn write_csv(&self, name: &str, csv: &Csv) {
+        if let Some(dir) = &self.out_dir {
+            let path = dir.join(format!("{name}.csv"));
+            csv.write_to(&path)
+                .unwrap_or_else(|e| eprintln!("cannot write {}: {e}", path.display()));
+        }
     }
 
     /// Progress accounting for runs executed outside the memoized path.

@@ -5,8 +5,7 @@
 //! — through the one [`JoinSpec::build`] factory, enforcing a
 //! [`WorkBudget`] as it goes.
 
-use sssj_core::{Framework, JoinSpec, SssjConfig};
-use sssj_index::IndexKind;
+use sssj_core::JoinSpec;
 use sssj_metrics::{BudgetOutcome, JoinStats, Stopwatch, WorkBudget};
 use sssj_types::StreamRecord;
 
@@ -31,12 +30,6 @@ impl RunResult {
     pub fn ok(&self) -> bool {
         self.outcome.is_ok()
     }
-}
-
-/// The spec of a classic framework × index run at `(θ, λ)` — the
-/// paper's original grid, spelled as a [`JoinSpec`].
-pub fn classic_spec(framework: Framework, kind: IndexKind, config: SssjConfig) -> JoinSpec {
-    JoinSpec::classic(framework, kind, config)
 }
 
 /// Runs the pipeline `spec` describes over `records`, enforcing `budget`
@@ -93,7 +86,9 @@ pub fn run_algorithm(records: &[StreamRecord], spec: &JoinSpec, budget: WorkBudg
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sssj_core::{Framework, SssjConfig};
     use sssj_data::{generate, preset, Preset};
+    use sssj_index::IndexKind;
     use std::time::Duration;
 
     #[test]
@@ -101,7 +96,7 @@ mod tests {
         let records = generate(&preset(Preset::Rcv1, 200));
         let r = run_algorithm(
             &records,
-            &classic_spec(
+            &JoinSpec::classic(
                 Framework::Streaming,
                 IndexKind::L2,
                 SssjConfig::new(0.7, 0.01),
@@ -123,7 +118,7 @@ mod tests {
         };
         let r = run_algorithm(
             &records,
-            &classic_spec(
+            &JoinSpec::classic(
                 Framework::Streaming,
                 IndexKind::Inv,
                 SssjConfig::new(0.5, 0.0001),
@@ -139,12 +134,12 @@ mod tests {
         let config = SssjConfig::new(0.6, 0.01);
         let a = run_algorithm(
             &records,
-            &classic_spec(Framework::Streaming, IndexKind::L2, config),
+            &JoinSpec::classic(Framework::Streaming, IndexKind::L2, config),
             WorkBudget::unlimited(),
         );
         let b = run_algorithm(
             &records,
-            &classic_spec(Framework::MiniBatch, IndexKind::L2, config),
+            &JoinSpec::classic(Framework::MiniBatch, IndexKind::L2, config),
             WorkBudget::unlimited(),
         );
         assert_eq!(a.pairs, b.pairs);

@@ -111,6 +111,12 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    // `-h`/`--help` anywhere after a command asks for the usage, not for
+    // an option that takes a value.
+    if rest.iter().any(|a| a == "-h" || a == "--help") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match command.as_str() {
         "generate" => commands::generate(rest),
         "convert" => commands::convert(rest),

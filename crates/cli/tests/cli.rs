@@ -156,3 +156,19 @@ fn help_prints_usage() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: sssj"));
 }
+
+#[test]
+fn help_after_a_command_prints_usage() {
+    for args in [
+        &["generate", "--help"][..],
+        &["run", "--help"],
+        &["run", "s.txt", "--theta", "0.5", "-h"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("usage: sssj"),
+            "{args:?}"
+        );
+    }
+}

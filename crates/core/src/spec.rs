@@ -158,8 +158,8 @@ impl Default for LshSpec {
 /// Decay-engine tuning carried by a spec and taken by
 /// [`Streaming::with_decay`]: the model plus whether candidate generation
 /// uses the windowed-max `rs1w` bound (`bounds=wmax`, the default) or
-/// only the ℓ2 bounds (`bounds=l2`, the ablation the
-/// `ablation_decay_bounds` bench measures). Output is identical either
+/// only the ℓ2 bounds (`bounds=l2`, the ablation `harness decay`
+/// measures). Output is identical either
 /// way; only the pruning work changes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecaySpec {

@@ -9,9 +9,9 @@
 //! posting lists.
 //!
 //! Because the join only depends on dot products, any permutation leaves
-//! the *output* unchanged; only the work changes. The
-//! `ablation_dim_order` bench quantifies the cost/benefit trade-off the
-//! paper speculates about.
+//! the *output* unchanged; only the work changes. The `harness dimorder`
+//! experiment quantifies the cost/benefit trade-off the paper speculates
+//! about.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -402,14 +402,11 @@
 //!
 //! Two systems, two jobs:
 //!
-//! * **The paper's evaluation** (§7, Figs. 2–9, Tables 1–2 and the
-//!   `ext_*` extensions) lives in `crates/bench`:
-//!   `cargo bench -p sssj-bench --bench fig5_str_indexes` (and the other
-//!   `fig*`/`table*`/`ablation_*`/`ext_*` targets), or the `harness` bin
-//!   for rendered tables + CSVs. The offline criterion stand-in prints
-//!   `median / min` per benchmark and appends JSON lines to the file
-//!   named by `CRITERION_JSON`; `BENCH_FAST=1` gives a smoke run,
-//!   `BENCH_SAMPLES=n` overrides sampling.
+//! * **The paper's evaluation** (§7, Figs. 2–9, Tables 1–2, the
+//!   ablations and the extensions) runs through one binary, `harness` in
+//!   `crates/bench`: `cargo run --release -p sssj-bench --bin harness --
+//!   fig5 --scale 0.1` renders one table and writes its CSV; `harness
+//!   --help` lists every experiment.
 //! * **Performance of this implementation** is measured only by `bench/`
 //!   (`sssj-perf`): `cargo run --release --manifest-path bench/Cargo.toml
 //!   -- --workload stack-tweets` for the end-to-end metrics, `… -- trace
