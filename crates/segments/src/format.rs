@@ -51,15 +51,17 @@ pub fn write_framed(
     assert!(body.len() <= MAX_BODY_LEN as usize, "framed body too large");
     let tmp = dir.join(format!("{name}.tmp"));
     let path = dir.join(name);
-    let mut buf = Vec::with_capacity(HEADER_LEN + body.len());
-    buf.extend_from_slice(magic);
-    buf.push(VERSION);
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32c(body).to_le_bytes());
-    buf.extend_from_slice(body);
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(magic);
+    header[8] = VERSION;
+    header[9..13].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[13..17].copy_from_slice(&crc32c(body).to_le_bytes());
     {
+        // Header and body go to the file as they are: no framed copy
+        // of the body is assembled in memory.
         let mut f = File::create(&tmp)?;
-        f.write_all(&buf)?;
+        f.write_all(&header)?;
+        f.write_all(body)?;
         if fsync {
             f.sync_all()?;
         }

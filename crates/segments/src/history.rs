@@ -10,12 +10,16 @@
 //!   WAL's own walker (length bounds, CRC-32C, payload structure,
 //!   timestamp order) and counted against the WAL's metadata, and the
 //!   validated bytes — never decoded — become the body of an immutable
-//!   record segment. Then the manifest is published, and only *then*
-//!   is the WAL file removed. A segment that fails a check is refused
-//!   and stays in the WAL. The crash argument does not care how the
-//!   body was produced, only about the order publish → catalog →
-//!   unlink, which is unchanged: a crash at any point leaves the
-//!   records in at least one of the two homes, never neither.
+//!   record segment. The catalog's reader re-validates the published
+//!   file (container CRC) and then lets it go: it keeps only the index
+//!   fields, and backfill re-opens the file to decode it, so the
+//!   archive's records are never resident. Then the manifest is
+//!   published, and only *then* is the WAL file removed. A segment
+//!   that fails a check is refused and stays in the WAL. The crash
+//!   argument does not care how the body was produced, only about the
+//!   order publish → catalog → unlink, which is unchanged: a crash at
+//!   any point leaves the records in at least one of the two homes,
+//!   never neither.
 //! * **Graph expiry** — edges the live [`sssj_graph::SimilarityGraph`]
 //!   drops at `now − τ` are queued here and flushed as a sorted,
 //!   bloom-indexed edge segment right before every checkpoint publish

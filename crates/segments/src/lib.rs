@@ -7,9 +7,9 @@
 //! record is behind the horizon τ, the segment — and every similarity
 //! edge that expired with it — used to be deleted. This crate turns
 //! that deletion point into a **compaction** point. The retired data
-//! moves into immutable, CRC-checked, memory-mapped segment pairs (a
-//! data file plus a small index), cataloged by an atomically-published
-//! `MANIFEST` in the store's own idiom:
+//! moves into immutable, CRC-checked segment pairs (a data file plus a
+//! small index), cataloged by an atomically-published `MANIFEST` in
+//! the store's own idiom:
 //!
 //! * **Record segments** preserve the raw stream past the horizon —
 //!   the input for *backfill* (re-running a historical range under new
@@ -19,13 +19,16 @@
 //!   recovery makes, no record decoded), and the same bytes written
 //!   back out under a segment header. The ingest thread pays about a
 //!   `memcpy`, a CRC pass and the create/rename/unlink per segment.
+//!   None of it stays in memory: the catalog keeps each segment's
+//!   index fields, and backfill re-reads and re-validates the file.
 //! * **Edge segments** preserve the expired similarity graph — the
 //!   input for *time-travel* queries ([`HistoryHandle::neighbors_at`],
 //!   [`HistoryHandle::topk_at`], [`HistoryHandle::component_at`]):
 //!   "who was similar to X at time t", answered by overlaying the live
 //!   graph's window with every overlapping segment. Rows are sorted,
 //!   with per-node runs, a bloom filter over node ids and
-//!   `[min_t, max_t]` time fences in the index.
+//!   `[min_t, max_t]` time fences in the index. Every such query
+//!   probes them, so edge segments stay memory-mapped.
 //!
 //! Compaction sits **inside the durability boundary**. WAL segments
 //! are deleted only after their record segment and the manifest flip
@@ -64,7 +67,7 @@ pub mod manifest;
 pub mod mapped;
 pub mod segment;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use sssj_core::{run_stream, JoinSpec, SpecError, StreamJoin, WrapperSpec};
 use sssj_graph::GraphHandle;
@@ -77,12 +80,17 @@ pub use mapped::Mapped;
 pub use segment::EdgeRow;
 
 thread_local! {
-    /// Handles of the most recent history pipeline built on this
-    /// thread through the spec hooks (the same park-and-collect idiom
-    /// as `sssj_graph::build_with_handle` — `JoinSpec::build`
-    /// type-erases its product).
+    /// Handles of the history pipeline [`build_with_handles`] is
+    /// building on this thread (the same park-and-collect idiom as
+    /// `sssj_graph::build_with_handle` — `JoinSpec::build` type-erases
+    /// its product).
     static LAST_HANDLES: RefCell<Option<(Option<GraphHandle>, HistoryHandle)>> =
         const { RefCell::new(None) };
+    /// One-shot arming for [`LAST_HANDLES`], set by
+    /// [`build_with_handles`] and consumed by the next history build on
+    /// this thread. A plain `JoinSpec::build` finds it unarmed and parks
+    /// nothing, so no handle outlives the pipeline it belongs to.
+    static STASH_NEXT: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Registers the history constructor (plus the store and graph layers
@@ -97,9 +105,11 @@ pub fn register_spec_builder() {
     register(Extensions {
         history: Some(|spec, _dir| {
             let join = HistoryJoin::open(spec, DurableOptions::default())?;
-            LAST_HANDLES.with(|slot| {
-                *slot.borrow_mut() = Some((join.graph_handle(), join.history_handle()));
-            });
+            if STASH_NEXT.with(|armed| armed.replace(false)) {
+                LAST_HANDLES.with(|slot| {
+                    *slot.borrow_mut() = Some((join.graph_handle(), join.history_handle()));
+                });
+            }
             Ok(Box::new(join) as Box<dyn StreamJoin>)
         }),
         ..Extensions::NONE
@@ -125,7 +135,11 @@ pub fn build_with_handles(
         ));
     }
     LAST_HANDLES.with(|slot| slot.borrow_mut().take());
-    let join = spec.build()?;
+    STASH_NEXT.with(|armed| armed.set(true));
+    let built = spec.build();
+    // Disarm even when the build failed before reaching the hook.
+    STASH_NEXT.with(|armed| armed.set(false));
+    let join = built?;
     let (graph, history) = LAST_HANDLES
         .with(|slot| slot.borrow_mut().take())
         .expect("the history hook stashes handles for every history build");
@@ -208,6 +222,25 @@ mod tests {
             build_with_handles(&spec),
             Err(SpecError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn plain_build_parks_no_handles() {
+        let root = tdir("plain");
+        let spec = history_spec(&root);
+        register_spec_builder();
+        let mut join = spec.build().unwrap();
+        let mut out = Vec::new();
+        join.process(&rec(0, 0.0, 7), &mut out);
+        join.finish(&mut out);
+        drop(join);
+        // Nothing keeps the dropped pipeline's store alive.
+        assert!(LAST_HANDLES.with(|slot| slot.borrow().is_none()));
+        // The arming stays one-shot: a handle build still gets its own.
+        let (join, _graph, history) = build_with_handles(&spec).unwrap();
+        assert!(LAST_HANDLES.with(|slot| slot.borrow().is_none()));
+        drop((join, history));
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

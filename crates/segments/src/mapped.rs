@@ -14,8 +14,10 @@
 //! `SIGBUS` on access — the standard mmap caveat. Segment files are
 //! immutable by construction (published by `rename(2)` and never
 //! rewritten in place; re-compaction replaces them atomically), so
-//! within this crate's own discipline the mapping stays valid for the
-//! reader's lifetime.
+//! within this crate's own discipline a mapping stays valid for as long
+//! as it is held. Only edge-segment readers hold one for their whole
+//! lifetime; a record-segment reader maps its data file for a single
+//! validation at open or a single decode call, and unmaps it after.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -151,6 +153,14 @@ impl Mapped {
             }
             // Fall through to the read path on any mmap failure.
         }
+        Mapped::read(file, len)
+    }
+
+    /// The heap backing: reads exactly `len` bytes from the start of
+    /// `file` into a buffer. [`Mapped::open`] falls back to it when the
+    /// platform has no map, the kernel refuses one, or `SSSJ_NO_MMAP`
+    /// is set.
+    fn read(file: &mut File, len: usize) -> io::Result<Mapped> {
         let mut buf = vec![0u8; len];
         file.seek(SeekFrom::Start(0))?;
         file.read_exact(&mut buf)?;
@@ -223,9 +233,9 @@ mod tests {
         assert_eq!(&*m, &payload[..]);
         // The heap fallback reads the same bytes.
         let mut f2 = File::open(&path).unwrap();
-        let mut buf = vec![0u8; payload.len()];
-        f2.read_exact(&mut buf).unwrap();
-        assert_eq!(buf, payload);
+        let heap = Mapped::read(&mut f2, payload.len()).unwrap();
+        assert!(!heap.is_mapped());
+        assert_eq!(&*heap, &payload[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

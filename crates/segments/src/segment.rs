@@ -13,9 +13,13 @@
 //!   WAL segments, keeping raw records queryable past the horizon for
 //!   backfill. The data file's body is the WAL segment's frame run,
 //!   byte for byte (same frame codec): the compactor validates the
-//!   sealed bytes with the WAL's own frame walker and copies them, and
-//!   [`RecordSegmentReader::decode_all`] reads them back through that
-//!   same walker.
+//!   sealed bytes with the WAL's own frame walker and copies them.
+//!   Unlike edge segments, which every `at=` query probes, record
+//!   segments are read only by backfill, so a reader keeps nothing of
+//!   the data file resident: [`RecordSegmentReader::open`] validates
+//!   the container and releases it, and
+//!   [`RecordSegmentReader::decode_all`] re-opens and re-validates the
+//!   file, then reads it back through the WAL's frame walker.
 //!
 //! Both files are CRC-framed ([`crate::format`]) and published
 //! atomically; readers validate every structural claim (row counts,
@@ -305,7 +309,11 @@ pub fn write_record_segment(dir: &Path, segment: &SealedSegment, fsync: bool) ->
     Ok(())
 }
 
-/// An open record segment; frames decode lazily via [`Self::decode_all`].
+/// An open record segment: the index fields plus the data file's
+/// path. It holds none of the data file's bytes between decodes —
+/// [`Self::decode_all`] maps (or reads) the file for the length of one
+/// call — so an archive of any depth costs a few dozen bytes of memory
+/// per segment.
 pub struct RecordSegmentReader {
     /// Absolute sequence number of the first record.
     pub first_seq: u64,
@@ -315,19 +323,20 @@ pub struct RecordSegmentReader {
     pub min_t: f64,
     /// Newest record timestamp.
     pub max_t: f64,
-    data: FramedBody,
+    data_bytes: u64,
     dat_path: std::path::PathBuf,
 }
 
 impl RecordSegmentReader {
-    /// Opens `rec-<first_seq>.{idx,dat}` under `dir`. Frame *contents*
-    /// are CRC-covered by the container and decoded on demand.
+    /// Opens `rec-<first_seq>.{idx,dat}` under `dir`. The data file is
+    /// validated in full (length, magic, version, body CRC) and then
+    /// released; frame *contents* are decoded on demand.
     pub fn open(dir: &Path, first_seq: u64) -> io::Result<RecordSegmentReader> {
         let stem = record_stem(first_seq);
         let idx_path = dir.join(format!("{stem}.idx"));
         let dat_path = dir.join(format!("{stem}.dat"));
         let idx = read_framed(&idx_path, REC_INDEX_MAGIC)?;
-        let data = read_framed(&dat_path, REC_DATA_MAGIC)?;
+        let data_bytes = read_framed(&dat_path, REC_DATA_MAGIC)?.body().len() as u64;
         let mut r = BodyReader::new(idx.body());
         let parsed: Result<_, String> = (|| {
             let stored_seq = r.u64()?;
@@ -349,7 +358,7 @@ impl RecordSegmentReader {
             records,
             min_t,
             max_t,
-            data,
+            data_bytes,
             dat_path,
         })
     }
@@ -361,13 +370,16 @@ impl RecordSegmentReader {
 
     /// Payload bytes of the data file (frame body, headers excluded).
     pub fn data_bytes(&self) -> u64 {
-        self.data.body().len() as u64
+        self.data_bytes
     }
 
-    /// Decodes every record, strictly — torn or corrupt frames and a
-    /// count mismatch against the index are errors.
+    /// Decodes every record, strictly. The data file is re-opened and
+    /// re-validated as at [`Self::open`] (container CRC included), so a
+    /// file damaged since then is an error, as are torn or corrupt
+    /// frames and a count mismatch against the index.
     pub fn decode_all(&self) -> io::Result<Vec<StreamRecord>> {
-        let records = wal::decode_frames(self.data.body(), f64::NEG_INFINITY)
+        let data = read_framed(&self.dat_path, REC_DATA_MAGIC)?;
+        let records = wal::decode_frames(data.body(), f64::NEG_INFINITY)
             .map_err(|e| corrupt(&self.dat_path, e))?;
         if records.len() as u64 != self.records {
             return Err(corrupt(
@@ -466,6 +478,41 @@ mod tests {
         let decoded = seg.decode_all().unwrap();
         assert_eq!(decoded.len(), 50);
         assert_eq!(decoded[17].id, 17);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_segment_decode_revalidates_the_file() {
+        let dir = tdir("recs-revalidate");
+        let mut log = sssj_store::Wal::create(&dir, 64, false).unwrap();
+        for i in 0..50u64 {
+            let r = StreamRecord::new(i, Timestamp::new(i as f64), unit_vector(&[(3, 1.0)]));
+            log.append(&r).unwrap();
+        }
+        drop(log); // flushes
+        let sealed = SealedSegment::read(&dir.join("wal/seg-0000000000000000.wal")).unwrap();
+        write_record_segment(&dir, &sealed, false).unwrap();
+        let seg = RecordSegmentReader::open(&dir, 0).unwrap();
+
+        // Flip one byte of the first record's id, then re-seal that
+        // frame's own CRC: the WAL frame walker would accept the bytes,
+        // so only the container CRC, checked again by the decode, can
+        // see the damage. The file is rewritten in place at its length.
+        let dat = dir.join(format!("{}.dat", record_stem(0)));
+        let mut bytes = fs::read(&dat).unwrap();
+        let frame = &mut bytes[crate::format::HEADER_LEN..];
+        let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
+        frame[8] ^= 0x01;
+        let crc = sssj_store::crc::crc32c(&frame[8..8 + len]);
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        {
+            use std::io::Write;
+            let mut f = fs::OpenOptions::new().write(true).open(&dat).unwrap();
+            f.write_all(&bytes).unwrap();
+        }
+
+        let err = seg.decode_all().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 }
