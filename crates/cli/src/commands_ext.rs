@@ -282,9 +282,11 @@ pub const ADVERTISED_SPECS: &[&str] = &[
     "str-l2?theta=0.7&lambda=0.01",
     "str-l2ap?theta=0.7&lambda=0.01",
     "str-inv?theta=0.7&lambda=0.01",
+    "str-ap?theta=0.7&lambda=0.01",
     "mb-l2?theta=0.7&lambda=0.01",
     "mb-l2ap?theta=0.7&lambda=0.01",
     "mb-inv?theta=0.7&lambda=0.01",
+    "mb-ap?theta=0.7&lambda=0.01",
     "decay?theta=0.7&model=window:10",
     "decay?theta=0.7&model=linear:20",
     "decay?theta=0.7&model=poly:2:5",

@@ -24,9 +24,9 @@
 //!
 //! # The list pass
 //!
-//! Every time-ordered index of `sssj_core::Streaming` (L2 under any
-//! decay model, and INV with its bounds off) spends most of a dense
-//! record in [`ScoreAccumulator::accumulate_l2_list_rev`]:
+//! Every index of `sssj_core::Streaming` (L2 under any decay model, AP
+//! and L2AP with their bounds, INV with its bounds off) spends most of a
+//! dense record in [`ScoreAccumulator::accumulate_l2_list_rev`]:
 //! one newest-first pass over a time-ordered posting list that computes
 //! each posting's decay bound (from the engine's quantized decay table),
 //! score delta, prune threshold and admission flag four at a time in
@@ -202,7 +202,9 @@ impl ScoreAccumulator {
             .map(|off| off as usize)
     }
 
-    /// The one-lookup hot-path upsert of candidate generation.
+    /// The one-lookup upsert of the list pass's per-entry rule (its one
+    /// caller in the program is the list pass; it stays public as the
+    /// per-entry model the property tests check the pass against).
     ///
     /// Equivalent to the `get`-then-`add` sequence of Algorithm 3 —
     /// *accumulate into live candidates unconditionally, admit new
@@ -288,9 +290,10 @@ impl ScoreAccumulator {
     /// `sssj_types::DecayTable` is one) and gaps `p.now − t` that are
     /// not NaN.
     ///
-    /// With `p.theta_slack = −∞`, `p.rs2 = 1` and `p.xnorm_before = 0`
-    /// the bounds are off: every posting is admitted and none is pruned,
-    /// which is the INV index's rule (see [`L2BatchParams`]).
+    /// With `p.xnorm_before = ∞` nothing is pruned (the AP and INV
+    /// indexes), and with moreover `p.theta_slack = −∞` and `p.rs2 = 1`
+    /// every posting is admitted, which is INV's rule (see
+    /// [`L2BatchParams`]).
     pub fn accumulate_l2_list_rev(
         &mut self,
         postings: &[PackedPosting],

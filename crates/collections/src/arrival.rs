@@ -168,13 +168,6 @@ impl<A: Copy> ArrivalStore<A> {
         })
     }
 
-    /// The payload of live row `ord`, if any: [`Self::row`] without the
-    /// residual span, for reads per posting.
-    #[inline]
-    pub fn aux(&self, ord: u64) -> Option<A> {
-        self.slot(ord).map(|p| self.aux[p])
-    }
-
     /// Shortens the residual of live row `ord` to its first `len`
     /// coordinates (a no-op when it is no longer than that). The arena
     /// space past the cut is reclaimed with the row.

@@ -127,6 +127,23 @@ impl PostingBlock {
         });
     }
 
+    /// Inserts an entry at its id's place by binary search, keeping the
+    /// ids rising (STR-AP and STR-L2AP re-index older rows this way,
+    /// §5.3). Ids are arrival ordinals, so times stay non-decreasing too.
+    /// `id` must not be in the block already.
+    pub fn insert(&mut self, id: u64, weight: f64, prefix_norm: f64, t: f64) {
+        let at = self.block.entries().partition_point(|p| p.id < id);
+        self.block.insert(
+            at,
+            PackedPosting {
+                id,
+                weight,
+                prefix_norm,
+                t,
+            },
+        );
+    }
+
     /// Drops the `n` oldest live entries in O(1) (amortised).
     pub fn truncate_front(&mut self, n: usize) {
         self.block.truncate_front(n);
@@ -155,15 +172,6 @@ impl PostingBlock {
         };
         self.block.truncate_front(n);
         n
-    }
-
-    /// Keeps only the entries for which `keep` returns `true`, preserving
-    /// order, in one forward compacting pass (the STR-L2AP scan, whose
-    /// lists lose time order after re-indexing). Returns the number of
-    /// removed entries.
-    pub fn retain<F: FnMut(u64, f64, f64, f64) -> bool>(&mut self, mut keep: F) -> usize {
-        self.block
-            .retain(|e| keep(e.id, e.weight, e.prefix_norm, e.t))
     }
 
     /// Removes all entries; keeps the allocation.
@@ -262,35 +270,28 @@ mod tests {
     }
 
     #[test]
-    fn retain_preserves_order_and_reports_removed() {
-        let mut b = filled(10);
-        let removed = b.retain(|id, _, _, _| id % 2 == 0);
-        assert_eq!(removed, 5);
-        assert_eq!(ids(&b), vec![0, 2, 4, 6, 8]);
-        assert_eq!(times(&b), vec![0.0, 2.0, 4.0, 6.0, 8.0]);
+    fn insert_keeps_ids_and_times_rising() {
+        let mut b = PostingBlock::new();
+        for id in [0u64, 2, 4, 6, 8] {
+            b.insert(id, 0.5, 0.25, id as f64);
+        }
+        b.insert(5, 1.0, 0.0, 5.0);
+        b.insert(1, 1.0, 0.0, 1.0);
+        b.insert(9, 1.0, 0.0, 9.0);
+        assert_eq!(ids(&b), vec![0, 1, 2, 4, 5, 6, 8, 9]);
+        assert_eq!(times(&b), vec![0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0, 9.0]);
+        let p = b.postings()[4];
+        assert_eq!((p.id, p.weight, p.prefix_norm, p.t), (5, 1.0, 0.0, 5.0));
     }
 
     #[test]
-    fn retain_after_truncation_sees_only_live() {
+    fn insert_after_truncation_sees_only_live() {
         let mut b = filled(10);
         b.truncate_front(4);
-        let removed = b.retain(|id, _, _, _| id != 7);
-        assert_eq!(removed, 1);
-        assert_eq!(ids(&b), vec![4, 5, 6, 8, 9]);
-    }
-
-    #[test]
-    fn retain_passes_fields_in_declared_order() {
-        let mut b = PostingBlock::new();
-        b.push(42, 0.5, 0.25, 9.0);
-        b.retain(|id, w, pn, t| {
-            assert_eq!(id, 42);
-            assert_eq!(w, 0.5);
-            assert_eq!(pn, 0.25);
-            assert_eq!(t, 9.0);
-            true
-        });
-        assert_eq!(b.len(), 1);
+        b.insert(3, 0.0, 0.0, 3.0);
+        assert_eq!(ids(&b), vec![3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(b.expire_before(4.0), 1);
+        assert_eq!(ids(&b), vec![4, 5, 6, 7, 8, 9]);
     }
 
     #[test]

@@ -143,25 +143,14 @@ impl<P: TimedEntry> TimedBlock<P> {
         n
     }
 
-    /// Keeps only the entries for which `keep` returns `true`, preserving
-    /// order, in one forward compacting pass (for blocks whose entries
-    /// lose time order). Returns the number of removed entries.
-    pub fn retain<F: FnMut(&P) -> bool>(&mut self, mut keep: F) -> usize {
-        let mut w = 0;
-        for r in self.start..self.buf.len() {
-            let e = self.buf[r];
-            if keep(&e) {
-                self.buf[w] = e;
-                w += 1;
-            }
+    /// Inserts `entry` before the live entry at `index` (`len()` appends),
+    /// shifting the newer ones up. The caller keeps times non-decreasing.
+    pub fn insert(&mut self, index: usize, entry: P) {
+        assert!(index <= self.len(), "insert past the live end");
+        if self.buf.len() == self.buf.capacity() {
+            self.reserve_more();
         }
-        // Only live entries count as removed; the dead prefix was already
-        // truncated away and is silently compacted over here.
-        let removed = (self.buf.len() - self.start) - w;
-        self.buf.truncate(w);
-        self.start = 0;
-        self.maybe_shrink();
-        removed
+        self.buf.insert(self.start + index, entry);
     }
 
     /// Removes all entries; keeps the allocation.
@@ -235,16 +224,26 @@ mod tests {
     }
 
     #[test]
-    fn push_expire_retain_roundtrip() {
+    fn push_expire_insert_roundtrip() {
         let mut b = filled(10);
         assert_eq!(b.len(), 10);
         assert_eq!(b.expire_before(4.0), 4);
         assert_eq!(ids(&b), vec![4, 5, 6, 7, 8, 9]);
-        let removed = b.retain(|e| e.id % 2 == 0);
-        assert_eq!(removed, 3);
-        assert_eq!(ids(&b), vec![4, 6, 8]);
+        b.insert(0, E { id: 3, t: 4.0 });
+        b.insert(7, E { id: 10, t: 10.0 });
+        assert_eq!(ids(&b), vec![3, 4, 5, 6, 7, 8, 9, 10]);
         b.clear();
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn insert_into_a_full_block_compacts_first() {
+        let mut b = filled(FIRST_CAP);
+        b.truncate_front(3);
+        assert_eq!(b.len(), b.capacity() - 3);
+        b.insert(0, E { id: 2, t: 2.0 });
+        assert_eq!(ids(&b), vec![2, 3, 4, 5, 6, 7]);
+        assert_eq!(b.capacity(), FIRST_CAP, "compaction made room");
     }
 
     #[test]

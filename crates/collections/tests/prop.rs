@@ -308,9 +308,10 @@ proptest! {
     /// group and falling ids, so a masked group can fall back to the
     /// per-entry rule too), gaps before the first and past the last
     /// table bin, one-bin tables, and pre-existing stale, live, zeroed
-    /// and negative slots. An `rs2` of `−∞` (the decay engine's
-    /// window-max veto) must admit nothing on any lane against a finite
-    /// threshold, `−∞·0 = NaN` from a zero factor included.
+    /// and negative slots, and the AP index's sentinels (`‖x′‖ = ∞`,
+    /// `rs2 = ∞`). An `rs2` of `−∞` (the per-list veto) must admit
+    /// nothing on any lane against a finite threshold, `−∞·0 = NaN` from
+    /// a zero factor included.
     #[test]
     fn accumulator_l2_list_rev_matches_batch_then_replay(
         floor in 10u64..1000,
@@ -322,8 +323,12 @@ proptest! {
         factors in proptest::collection::vec(prop_oneof![5 => 0.0f64..1.0, 1 => Just(0.0)], 1..12),
         inv_step in 0.05f64..2.0,
         xj in acc_delta(),
-        xnorm_before in 0.0f64..1.0,
-        rs2 in prop_oneof![4 => 0.0f64..1.5, 1 => Just(f64::NEG_INFINITY)],
+        xnorm_before in prop_oneof![4 => 0.0f64..1.0, 1 => Just(f64::INFINITY)],
+        rs2 in prop_oneof![
+            4 => 0.0f64..1.5,
+            1 => Just(f64::NEG_INFINITY),
+            1 => Just(f64::INFINITY),
+        ],
         theta_slack in acc_prune(),
     ) {
         let _lane = LaneGuard::lock();
@@ -420,6 +425,76 @@ fn posting_products_lanes_are_bit_exact() {
                 let admitted = sys.accumulate_l2_list_rev(&postings, &inv, &factors);
                 let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
                 let case = format!("{lane:?}, {len} postings, id shape {shape}");
+                assert_eq!(admitted, want_admitted, "admitted on {case}");
+                assert_eq!(have, want, "scores on {case}");
+            }
+        }
+    }
+}
+
+/// The list pass with the AP index's parameters on every lane the host
+/// has: `‖x′‖ = ∞` (no ℓ2 prune), a finite `θₛ`, and `rs2 = ∞` once the
+/// `rs1` bound admits or `−∞` to veto. It must equal `accumulate(..,
+/// admit)` applied newest first and never `zero`: the threshold `θₛ −
+/// ∞·pn·df` is `−∞`, or `NaN` where `pn·df = 0`, and no lane's ordered
+/// `<` holds against either, while admission `∞·df ≥ θₛ` holds exactly
+/// for a positive factor (`∞·0 = NaN` refuses a zero one). Scores stay
+/// below `θₛ` and prefix norms and factors hit zero, so any prune or
+/// stray admission would show.
+#[test]
+fn ap_parameters_prune_nothing_on_every_lane() {
+    let _lane = LaneGuard::lock();
+    let now = 12.0;
+    let factors = [1.0, 0.75, 0.0];
+    let inv_step = 0.25;
+    for rs2 in [f64::INFINITY, f64::NEG_INFINITY] {
+        let ap = L2BatchParams {
+            xj: 0.37,
+            now,
+            xnorm_before: f64::INFINITY,
+            rs2,
+            theta_slack: 0.5,
+            inv_step,
+        };
+        for len in [1u64, 3, 4, 8, 13, 21] {
+            let postings: Vec<PackedPosting> = (0..len)
+                .map(|i| PackedPosting {
+                    id: 100 + i,
+                    weight: 0.01 * i as f64 - 0.05,
+                    prefix_norm: if i % 3 == 0 { 0.0 } else { 0.2 },
+                    t: i as f64,
+                })
+                .collect();
+            let mut model = ScoreAccumulator::new();
+            model.advance_floor(90);
+            let mut want_admitted = 0;
+            // Twice: the second pass meets live, negative and zero slots.
+            for _ in 0..2 {
+                for q in postings.iter().rev() {
+                    let bin = ((now - q.t) * inv_step).clamp(0.0, 2.0) as usize;
+                    let admit = rs2 == f64::INFINITY && factors[bin] > 0.0;
+                    let step = model.accumulate(q.id, ap.xj * q.weight, admit);
+                    want_admitted += matches!(step, Accumulated::Admitted(_)) as u32;
+                }
+            }
+            let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            if rs2 == f64::INFINITY && len > 8 {
+                assert!(want.iter().any(|&(_, v)| f64::from_bits(v) != 0.0));
+            }
+            for lane in [Lane::Scalar, Lane::Sse41, Lane::Avx2, Lane::Avx512] {
+                force_lane(Some(lane));
+                if active_lane() != lane {
+                    // Above the hardware maximum: the forced lane was clamped.
+                    continue;
+                }
+                report_lane("ap_parameters_prune_nothing_on_every_lane", lane);
+                let mut sys = ScoreAccumulator::new();
+                sys.advance_floor(90);
+                let admitted: u32 = (0..2)
+                    .map(|_| sys.accumulate_l2_list_rev(&postings, &ap, &factors))
+                    .sum();
+                let have: Vec<(u64, u64)> = sys.iter().map(|(k, v)| (k, v.to_bits())).collect();
+                let case = format!("{lane:?}, {len} postings, rs2 = {rs2}");
                 assert_eq!(admitted, want_admitted, "admitted on {case}");
                 assert_eq!(have, want, "scores on {case}");
             }

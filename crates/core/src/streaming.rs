@@ -8,36 +8,38 @@
 //! implementation keeps it flat and allocation-free at steady state:
 //!
 //! * posting lists are flat single-allocation [`PostingBlock`]s of
-//!   packed 32-byte entries: candidate generation is one contiguous
-//!   slice walk (no ring-buffer masking), and time truncation on
-//!   time-ordered lists is a binary search on the packed time field plus
-//!   an O(1) front cut instead of an entry-by-entry backward scan (the
-//!   layout was chosen over fully-columnar splits by measurement — see
-//!   `sssj_collections::posting`);
+//!   packed 32-byte entries, kept in arrival order for every index kind
+//!   (a re-indexed posting is inserted at its row's ordinal): candidate
+//!   generation is one contiguous slice walk (no ring-buffer masking),
+//!   and time truncation is a binary search on the packed time field
+//!   plus an O(1) front cut instead of an entry-by-entry backward scan
+//!   (the layout was chosen over fully-columnar splits by measurement —
+//!   see `sssj_collections::posting`);
 //! * per-vector state — id, arrival time, the `Q` bound, the residual
 //!   `R[ι(y)]` — is one [`ArrivalStore`] row, keyed by the row's
 //!   arrival *ordinal*: columns for the scalars and one FIFO arena for
 //!   the residual coordinates, popped from the front as rows pass the
 //!   horizon and compacted in place, so the store is sized by the live
-//!   horizon. Postings carry the ordinal, not the vector id, so a
-//!   time-ordered list's keys always rise, and a vector id that arrives
-//!   twice is two rows; the id is looked up only when a pair is emitted;
+//!   horizon. Postings carry the ordinal, not the vector id, so a list's
+//!   keys always rise, and a vector id that arrives twice is two rows;
+//!   the id is looked up only when a pair is emitted;
 //! * the candidate score array is a dense, epoch-stamped
 //!   [`ScoreAccumulator`] keyed by ordinal and floored at the oldest
 //!   live row — O(1) reset, no hashing — so a slot's offset is its row
-//!   in the store's columns. STR-L2 and STR-INV walk each time-ordered
-//!   posting list once, newest first, through
-//!   [`ScoreAccumulator::accumulate_l2_list_rev`] (INV with its bounds
-//!   off: `θₛ = −∞` admits every posting and prunes none): eight
+//!   in the store's columns. Every index kind walks each posting list
+//!   once, newest first, through
+//!   [`ScoreAccumulator::accumulate_l2_list_rev`], and the kinds differ
+//!   only in the bounds they pass it (AP has no ℓ2 prune; INV has every
+//!   bound off, so it admits every posting and prunes none): eight
 //!   postings at a time on AVX-512 (four on AVX2) it computes the decay
 //!   bounds, deltas, admission flags and prune thresholds and applies
 //!   them to the score slots in the same registers, with no arrays in
 //!   between; on AVX-512 masked scatters and a compress-store write only
 //!   the slots that change, and the oldest group is masked to the
-//!   postings left. A time-ordered list's ordinals rise, so each group
-//!   lands in distinct slots, which is what the vector step checks; the
-//!   AVX2 pass's oldest `n % 4` postings, lists shorter than four and
-//!   the scalar lanes take one fused probe per entry
+//!   postings left. A list's ordinals rise, so each group lands in
+//!   distinct slots, which is what the vector step checks; the AVX2
+//!   pass's oldest `n % 4` postings, lists shorter than four and the
+//!   scalar lanes take one fused probe per entry
 //!   ([`ScoreAccumulator::accumulate`]);
 //! * the decay factor `e^{-λΔt}` is read from a quantized upper-bound
 //!   [`DecayTable`] inside all *pruning* tests (safe: a larger factor
@@ -67,20 +69,21 @@
 //!   the store's `Q` and time columns alone — gathers and a
 //!   compress-store on AVX-512, a branch-free loop elsewhere — and
 //!   keeps `c > 0 ∧ (c + Q)·df ≥ θ`. Only survivors read their
-//!   contiguous residual: AP's `ds1`/`sz2` tests, then the residual dot
-//!   as `sssj_kernels::dot_dense` against the query scattered into a
-//!   dimension-indexed scratch (scattered at the first survivor and
-//!   cleared after the last, so a record with none pays nothing), times
-//!   the exact decay factor once the undecayed score reaches `θ` (no
-//!   factor exceeds 1, so a score below `θ` skips it);
+//!   contiguous residual: AP's size, `ds1` and `sz2` tests, then the
+//!   residual dot as `sssj_kernels::dot_dense` against the query
+//!   scattered into a dimension-indexed scratch (scattered at the first
+//!   survivor and cleared after the last, so a record with none pays
+//!   nothing), times the exact decay factor once the undecayed score
+//!   reaches `θ` (no factor exceeds 1, so a score below `θ` skips it);
 //! * the store, the filter's output, the scatter scratch and the
 //!   accumulator reach their size and stay there — steady-state
 //!   processing performs **zero** heap allocations per record on the
-//!   STR-L2 and STR-INV paths (asserted by `tests/zero_alloc.rs`).
+//!   STR-L2, STR-INV, STR-AP and STR-L2AP paths (asserted by
+//!   `tests/zero_alloc.rs`).
 
 use sssj_collections::{
-    Accumulated, ArrivalStore, DecayedMaxVec, MaxVector, PostingBlock, ScoreAccumulator,
-    SurvivorFilter, Survivors, WindowedMaxVec,
+    ArrivalStore, DecayedMaxVec, MaxVector, PostingBlock, ScoreAccumulator, SurvivorFilter,
+    Survivors, WindowedMaxVec,
 };
 use sssj_kernels::L2BatchParams;
 use sssj_metrics::JoinStats;
@@ -134,19 +137,23 @@ fn horizon_cutoff(now: f64, tau: f64) -> f64 {
 ///
 /// For each arriving vector the index is queried (candidate generation +
 /// verification, with every bound decayed by `e^{-λΔt}`) and the vector is
-/// then inserted. Time filtering works differently per variant:
+/// then inserted. Posting lists stay time-ordered for every variant, so
+/// candidate generation first drops the expired prefix (binary search on
+/// the time field + O(1) truncation, §6.2) and then scans only live
+/// entries in one list pass, [`ScoreAccumulator::accumulate_l2_list_rev`];
+/// the variants differ in the bounds they pass it:
 ///
-/// * **STR-INV / STR-L2** — posting lists stay time-ordered, so candidate
-///   generation first drops the expired prefix (binary search on the time
-///   field + O(1) truncation, §6.2) and then scans only live entries in
-///   one list pass, [`ScoreAccumulator::accumulate_l2_list_rev`]. INV
-///   takes the same pass with its bounds at −∞ (`θₛ = −∞`), so it admits
-///   every posting and prunes none.
-/// * **STR-L2AP** — the `b1` bound consults the running max vector `m`;
-///   when a new arrival raises `m`, the prefix-filtering invariant breaks
-///   and affected residuals are *re-indexed* (§5.3), which appends
-///   out-of-order entries. Lists are therefore scanned *forwards* with an
-///   in-place compaction, dropping expired entries as they are met.
+/// * **STR-INV** — its bounds at −∞ (`θₛ = −∞`): it admits every posting
+///   and prunes none.
+/// * **STR-L2** — `rs2·df ≥ θₛ` admits, the ℓ2 bound prunes.
+/// * **STR-AP / STR-L2AP** — the `b1` bound consults the running max
+///   vector `m`; when a new arrival raises `m`, the prefix-filtering
+///   invariant breaks and affected residuals are *re-indexed* (§5.3).
+///   The paper appends those postings out of time order and must then
+///   scan its lists whole; here each goes in at its row's ordinal, so
+///   lists keep their order. The `rs1` bound vetoes a list's new
+///   candidates (`rs2 = −∞`); AP has no ℓ2 prune (`‖x′‖ = ∞`), and its
+///   size filter runs in verification.
 pub struct Streaming {
     theta: f64,
     kind: IndexKind,
@@ -160,8 +167,6 @@ pub struct Streaming {
     window_max: Option<WindowedMaxVec>,
     /// Built by [`Streaming::with_decay`]: the name shows the model.
     generic: bool,
-    /// Whether posting lists are guaranteed time-ordered (no re-indexing).
-    time_ordered: bool,
     /// Posting lists by dimension; a posting's id word is its row's
     /// ordinal in `store`.
     lists: Vec<PostingBlock>,
@@ -289,7 +294,6 @@ impl Streaming {
             tau,
             window_max: window_max.then(|| WindowedMaxVec::new(tau.max(f64::MIN_POSITIVE))),
             generic: false,
-            time_ordered: !policy.ap,
             lists: Vec::new(),
             store: ArrivalStore::new(),
             m: MaxVector::new(),
@@ -354,21 +358,9 @@ impl Streaming {
         let cand0 = self.stats.candidates;
         let ent0 = self.stats.entries_traversed;
         let mut trace_span = sssj_metrics::trace::span(sssj_metrics::trace::Stage::Candidates);
-        let theta = self.theta;
-        let theta_slack = theta - PRUNE_EPS;
+        let theta_slack = self.theta - PRUNE_EPS;
         let policy = self.policy;
-        let tau = self.tau;
-        let cutoff = horizon_cutoff(now, tau);
-        let sz1 = if policy.ap {
-            let summary = VectorSummary::of(x);
-            if summary.max_weight > 0.0 {
-                theta / summary.max_weight
-            } else {
-                0.0
-            }
-        } else {
-            0.0
-        };
+        let cutoff = horizon_cutoff(now, self.tau);
         // rs1 = dot(x, m̂λ(now)): already time-aware per coordinate.
         let mut rs1 = if policy.ap {
             x.iter()
@@ -387,104 +379,66 @@ impl Streaming {
         let mut rst: f64 = 1.0;
         let mut rs2 = if policy.l2 { 1.0 } else { f64::INFINITY };
 
-        let time_ordered = self.time_ordered;
         let window_max = &mut self.window_max;
         let lists = &mut self.lists;
-        let store = &self.store;
         let acc = &mut self.acc;
         let stats = &mut self.stats;
         let live = &mut self.live_postings;
         let mhat_lambda = &self.mhat_lambda;
-        let table = &self.table;
+        let (factors, inv_step) = self.table.lookup();
 
         for (dim, xj) in x.iter().rev() {
-            if let Some(list) = lists.get_mut(dim as usize) {
+            if let Some(list) = lists.get_mut(dim as usize).filter(|l| !l.is_empty()) {
+                // Every list is time-ordered: the expired prefix is
+                // exactly the entries with now − t > τ, i.e. t < cutoff.
+                // Drop it in O(log n) + O(1) and scan only live entries.
+                let pruned = list.expire_before(cutoff);
+                if pruned > 0 {
+                    stats.entries_pruned += pruned as u64;
+                    *live -= pruned as u64;
+                }
+                let postings = list.postings();
+                stats.entries_traversed += postings.len() as u64;
                 // ‖x′_j‖ for the l2bound, recovered from the running
                 // suffix mass instead of a materialised prefix-norm
                 // array: x is unit-normalised, so during this iteration
                 // rst = Σ_{i ≤ pos} w_i² and the prefix before this
-                // coordinate has mass rst − x_j².
+                // coordinate has mass rst − x_j². An index without the
+                // ℓ2 bound passes ∞, which prunes nothing (see
+                // `L2BatchParams`).
                 let xnorm_before = if policy.l2 {
                     (rst - xj * xj).max(0.0).sqrt()
                 } else {
-                    0.0
+                    f64::INFINITY
                 };
-                if time_ordered {
-                    // Time-ordered list: the expired prefix is exactly the
-                    // entries with now − t > τ, i.e. t < cutoff. Drop it in
-                    // O(log n) + O(1) and scan only live entries.
-                    let pruned = list.expire_before(cutoff);
-                    if pruned > 0 {
-                        stats.entries_pruned += pruned as u64;
-                        *live -= pruned as u64;
-                    }
-                    let postings = list.postings();
-                    stats.entries_traversed += postings.len() as u64;
-                    // One pass over the list, newest posting first (which
-                    // sets first-touch, and so output, order) computes
-                    // each posting's decay bound, score delta, admission
-                    // flag and prune threshold and applies them to the
-                    // accumulator. For L2 the early ℓ2 prune
-                    // (Cauchy–Schwarz on the unscanned prefixes, decayed)
-                    // is folded into the per-entry threshold
-                    // `θₛ − ‖x′‖·pn·df`, and the window-max conjunct
-                    // `min(rs1w, rs2·df) ≥ θₛ ⟺ rs1w ≥ θₛ ∧ rs2·df ≥ θₛ`
-                    // vetoes with `rs2 = −∞`. INV has no bounds: `θₛ = −∞`
-                    // with `rs2 = 1` (and `‖x′‖ = 0`) admits every posting
-                    // and prunes none (see `L2BatchParams`).
-                    let (list_rs2, list_theta) = match (policy.l2, rs1w >= theta_slack) {
-                        (true, true) => (rs2, theta_slack),
-                        (true, false) => (f64::NEG_INFINITY, theta_slack),
-                        (false, _) => (1.0, f64::NEG_INFINITY),
-                    };
-                    let (factors, inv_step) = table.lookup();
-                    let params = L2BatchParams {
-                        xj,
-                        now,
-                        xnorm_before,
-                        rs2: list_rs2,
-                        theta_slack: list_theta,
-                        inv_step,
-                    };
-                    stats.candidates +=
-                        acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
+                // One pass over the list, newest posting first (which sets
+                // first-touch, and so output, order) computes each
+                // posting's decay bound, score delta, admission flag and
+                // prune threshold and applies them to the accumulator.
+                // The early ℓ2 prune (Cauchy–Schwarz on the unscanned
+                // prefixes, decayed) is folded into the per-entry
+                // threshold `θₛ − ‖x′‖·pn·df`. Admission is
+                // `min(rs1, rs1w, rs2·df) ≥ θₛ`; the per-list conjuncts
+                // `rs1 ≥ θₛ ∧ rs1w ≥ θₛ` veto with `rs2 = −∞`, and AP's
+                // `rs2 = ∞` admits on them alone. INV has no bounds:
+                // `θₛ = −∞` with `rs2 = 1` admits every posting and
+                // prunes none.
+                let (list_rs2, list_theta) = if !policy.prunes() {
+                    (1.0, f64::NEG_INFINITY)
+                } else if rs1 >= theta_slack && rs1w >= theta_slack {
+                    (rs2, theta_slack)
                 } else {
-                    // Forward scan with in-place compaction (out-of-order
-                    // lists cannot early-stop).
-                    let removed = list.retain(|id, weight, pnorm, t| {
-                        // Expired entries still cost a traversal here —
-                        // the price of losing time order to re-indexing,
-                        // which is why L2AP's traversal count can exceed
-                        // INV's at short horizons (Figure 6).
-                        stats.entries_traversed += 1;
-                        let dt = now - t;
-                        if dt > tau {
-                            return false;
-                        }
-                        // Size filter. Rows are popped at the same
-                        // horizon as entries; a missing row means the
-                        // vector just expired.
-                        if policy.ap && store.aux(id).is_none_or(|size| size < sz1) {
-                            return true;
-                        }
-                        let df = table.upper(dt);
-                        let remscore = rs1.min(rs2 * df);
-                        let new = match acc.accumulate(id, xj * weight, remscore >= theta_slack) {
-                            Accumulated::Updated(new) => new,
-                            Accumulated::Admitted(new) => {
-                                stats.candidates += 1;
-                                new
-                            }
-                            Accumulated::Skipped => return true,
-                        };
-                        if policy.l2 && new + xnorm_before * pnorm * df < theta_slack {
-                            acc.zero(id);
-                        }
-                        true
-                    });
-                    stats.entries_pruned += removed as u64;
-                    *live -= removed as u64;
-                }
+                    (f64::NEG_INFINITY, theta_slack)
+                };
+                let params = L2BatchParams {
+                    xj,
+                    now,
+                    xnorm_before,
+                    rs2: list_rs2,
+                    theta_slack: list_theta,
+                    inv_step,
+                };
+                stats.candidates += acc.accumulate_l2_list_rev(postings, &params, factors) as u64;
             }
             if policy.ap {
                 rs1 -= xj * mhat_lambda.get(dim, now);
@@ -539,6 +493,13 @@ impl Streaming {
         } else {
             VectorSummary::default()
         };
+        // AP's size filter: a row whose `|y|·vm_y` is below
+        // `θ / vm_x` cannot reach θ with x.
+        let sz1 = if sx.max_weight > 0.0 {
+            theta / sx.max_weight
+        } else {
+            0.0
+        };
         let mut scattered = false;
         for (off, c) in self.survivors.iter() {
             let row = self
@@ -547,6 +508,9 @@ impl Streaming {
                 .expect("a survivor's offset is a live row");
             let dt = (now - row.t).max(0.0);
             if policy.ap {
+                if row.aux < sz1 {
+                    continue;
+                }
                 let df_up = self.table.upper(dt);
                 let r = VectorSummary::of_weights(row.weights);
                 let ds1 = (c + (sx.max_weight * r.sum).min(r.max_weight * sx.sum)) * df_up;
@@ -629,24 +593,26 @@ impl Streaming {
         (None, policy.combine(b1, bt.sqrt()).min(1.0), bt)
     }
 
-    /// Appends posting entries for coordinates `boundary..` of the row
-    /// with ordinal `ord` at time `t` to `lists`, returning how many
-    /// entries were written.
+    /// Writes posting entries for coordinates `boundary..` of the row
+    /// with ordinal `ord` and time `t` into `lists` through `place`
+    /// ([`PostingBlock::push`] for an arrival, [`PostingBlock::insert`]
+    /// for a re-indexed row, which goes in behind the newer rows), and
+    /// returns how many entries were written.
     ///
     /// `prefix_mass` is `‖x′_boundary‖²` from [`Streaming::replay_boundary`];
     /// the stored `‖x′_j‖` values continue that recurrence, so only the
     /// indexed suffix pays square roots. (The recurrence tracks the true
     /// prefix norm only while the ℓ2 bound accumulates it — exactly the
-    /// policies that later read `prefix_norm`; AP-family postings carry a
-    /// partial value that their scans never consult.)
+    /// policies whose prune reads `prefix_norm`; AP postings carry a
+    /// partial value, which the list pass multiplies by `‖x′‖ = ∞`.)
     fn index_suffix(
         lists: &mut Vec<PostingBlock>,
-        ord: u64,
+        place: impl Fn(&mut PostingBlock, u64, f64, f64, f64),
+        (ord, t): (u64, f64),
         dims: &[u32],
         weights: &[f64],
         boundary: usize,
         prefix_mass: f64,
-        t: f64,
     ) -> u64 {
         let mut mass = prefix_mass;
         for pos in boundary..dims.len() {
@@ -655,7 +621,7 @@ impl Streaming {
                 lists.resize_with(d + 1, PostingBlock::new);
             }
             let w = weights[pos];
-            lists[d].push(ord, w, mass.sqrt(), t);
+            place(&mut lists[d], ord, w, mass.sqrt(), t);
             mass += w * w;
         }
         (dims.len() - boundary) as u64
@@ -668,7 +634,10 @@ impl Streaming {
     }
 
     /// Re-indexes residuals with support on `dim` after `m[dim]` grew
-    /// (§5.3). Out-of-order appends; updates `R` and `Q`.
+    /// (§5.3); updates `R` and `Q`. A row's residual and its postings
+    /// cover disjoint dimensions, so a re-indexed posting is the row's
+    /// only one in its list, and inserting it at its ordinal keeps every
+    /// list time-ordered.
     fn reindex_dim(&mut self, dim: u32) {
         let d = dim as usize;
         if d >= self.residual_inverted.len() {
@@ -706,7 +675,15 @@ impl Streaming {
             self.store.set_q(ord, q);
             return true;
         };
-        let added = Self::index_suffix(&mut self.lists, ord, row.dims, row.weights, p, mass, row.t);
+        let added = Self::index_suffix(
+            &mut self.lists,
+            PostingBlock::insert,
+            (ord, row.t),
+            row.dims,
+            row.weights,
+            p,
+            mass,
+        );
         let still = has_dim(&row.dims[..p], &row.weights[..p]);
         self.count_postings(added);
         self.stats.reindexed_vectors += 1;
@@ -734,7 +711,15 @@ impl Streaming {
         let (boundary, q, mass) = self.replay_boundary(x.dims(), x.weights());
         let ord = self.store.end();
         if let Some(p) = boundary {
-            let added = Self::index_suffix(&mut self.lists, ord, x.dims(), x.weights(), p, mass, t);
+            let added = Self::index_suffix(
+                &mut self.lists,
+                PostingBlock::push,
+                (ord, t),
+                x.dims(),
+                x.weights(),
+                p,
+                mass,
+            );
             self.count_postings(added);
         }
         if self.policy.ap {
@@ -754,12 +739,24 @@ impl Streaming {
         self.stats.residual_coords += blen as u64;
         let mut size = 0.0;
         if self.policy.ap {
+            let front = self.store.front();
             for &dim in dims {
                 let d = dim as usize;
                 if d >= self.residual_inverted.len() {
                     self.residual_inverted.resize_with(d + 1, Vec::new);
                 }
-                self.residual_inverted[d].push(ord);
+                // Ordinals rise, so the rows that expired are a prefix.
+                // Drop it when the list is full and it is at least half
+                // the list (amortised O(1)), or the list grows with the
+                // stream instead of the horizon.
+                let ords = &mut self.residual_inverted[d];
+                if ords.len() == ords.capacity() {
+                    let expired = ords.partition_point(|&o| o < front);
+                    if expired >= ords.len() / 2 {
+                        ords.drain(..expired);
+                    }
+                }
+                ords.push(ord);
             }
             let s = VectorSummary::of(x);
             size = s.nnz as f64 * s.max_weight;

@@ -90,12 +90,12 @@ fn golden_counts_dense() {
         // spec                              entries    cands     sims  postings
         ("str-l2?theta=0.5&lambda=0.001",   (3928460,  611180,   77248, 69558)),
         ("str-inv?theta=0.5&lambda=0.001",  (6273077, 1195241, 1195241, 86026)),
-        ("str-l2ap?theta=0.5&lambda=0.001", (3906631,  591407,   66341, 69445)),
-        ("str-ap?theta=0.5&lambda=0.001",   (4668464,  614263,   82054, 77859)),
+        ("str-l2ap?theta=0.5&lambda=0.001", (3906631,  597695,   66341, 69445)),
+        ("str-ap?theta=0.5&lambda=0.001",   (4668464,  623847,   82054, 77859)),
         ("mb-l2?theta=0.5&lambda=0.001",    (3928460,  596718,  184608, 69558)),
         ("mb-inv?theta=0.5&lambda=0.001",   (6273077, 1195241, 1195241, 86026)),
-        ("mb-l2ap?theta=0.5&lambda=0.001",  (3916693,  575363,  134421, 69445)),
-        ("mb-ap?theta=0.5&lambda=0.001",    (4791184,  662481,  127884, 77859)),
+        ("mb-l2ap?theta=0.5&lambda=0.001",  (3916693,  583000,  134421, 69445)),
+        ("mb-ap?theta=0.5&lambda=0.001",    (4791184,  672545,  127884, 77859)),
         ("decay?theta=0.5&model=exp:0.001", (3928460,  605390,   77016, 69558)),
     ]);
     // Each decay model has its own pair set, so each gets its own block.
@@ -119,12 +119,12 @@ fn golden_counts_tweets() {
         // spec                              entries    cands     sims  postings
         ("str-l2?theta=0.5&lambda=0.07",    (  55683,   18020,    2088, 125564)),
         ("str-inv?theta=0.5&lambda=0.07",   (  95236,   70814,   70814, 150763)),
-        ("str-l2ap?theta=0.5&lambda=0.07",  ( 155248,    5445,    1110, 124036)),
-        ("str-ap?theta=0.5&lambda=0.07",    ( 169530,    7340,    1302, 132691)),
+        ("str-l2ap?theta=0.5&lambda=0.07",  (  55160,    5724,    1110, 124036)),
+        ("str-ap?theta=0.5&lambda=0.07",    (  61396,    7796,    1302, 132691)),
         ("mb-l2?theta=0.5&lambda=0.07",     (  82755,   51836,   10061, 125564)),
         ("mb-inv?theta=0.5&lambda=0.07",    ( 141443,  105215,  105215, 150763)),
-        ("mb-l2ap?theta=0.5&lambda=0.07",   (  65099,   17600,    6691, 113538)),
-        ("mb-ap?theta=0.5&lambda=0.07",     (  66459,   17194,    9895, 114175)),
+        ("mb-l2ap?theta=0.5&lambda=0.07",   (  65099,   18767,    6691, 113538)),
+        ("mb-ap?theta=0.5&lambda=0.07",     (  66459,   18446,    9895, 114175)),
         ("decay?theta=0.5&model=exp:0.07",  (  55683,    9542,    1604, 125564)),
     ]);
     #[rustfmt::skip]

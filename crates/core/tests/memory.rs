@@ -95,6 +95,49 @@ fn streaming_memory_is_flat_over_a_long_short_horizon_stream() {
 }
 
 #[test]
+fn ap_residual_index_is_flat_over_a_long_steady_stream() {
+    // Four coordinates per record over 29 dimensions, so the AP bound
+    // leaves one or two of them in each row's residual, and every row
+    // enters the re-indexing inverted index. Once `m` has settled nothing
+    // re-indexes, so the expired ordinals must be dropped on insert or
+    // that index grows with the stream instead of the horizon.
+    let records: Vec<StreamRecord> = (0..40_000u64)
+        .map(|i| {
+            let base = (i * 7) % 29;
+            let entries = [
+                (base as u32, 0.7),
+                ((base as u32 + 3) % 29, 0.5),
+                ((base as u32 + 11) % 29, 0.4),
+                ((base as u32 + 17) % 29, 0.3),
+            ];
+            StreamRecord::new(i, Timestamp::new(i as f64 * 0.25), unit_vector(&entries))
+        })
+        .collect();
+    for kind in [IndexKind::Ap, IndexKind::L2ap] {
+        let mut join = Streaming::new(SssjConfig::new(0.5, 0.1), kind);
+        let mut out = Vec::new();
+        let mut settled = 0;
+        for (i, r) in records.iter().enumerate() {
+            join.process(r, &mut out);
+            out.clear();
+            if i == 3_999 {
+                settled = join.memory_bytes();
+            } else if i > 3_999 {
+                assert!(
+                    join.memory_bytes() <= settled,
+                    "{kind}: {} B at record {i}, {settled} B at record 3 999",
+                    join.memory_bytes()
+                );
+            }
+        }
+        assert!(
+            join.stats().residual_coords > 0,
+            "{kind}: rows keep residuals"
+        );
+    }
+}
+
+#[test]
 fn shorter_horizon_uses_less_memory() {
     let records = uniform_stream(1_500, 1.0, 50);
     let small = peak_streaming(&records, 0.5, 0.5, IndexKind::L2);

@@ -1,10 +1,10 @@
 //! Steady-state allocation audit: after warm-up, the STR-L2 loop must
 //! process records with **zero** heap allocations — under the
 //! exponential and under a generic decay model alike — and so must
-//! STR-INV, which runs the same list pass with its bounds off. The
-//! arrival-ordered row store (compacted in place), the epoch accumulator,
-//! the flat packed posting blocks, the window-max deques and the owned
-//! scratch buffers reach their size and stay there.
+//! STR-INV, STR-AP and STR-L2AP, which run the same list pass with other
+//! bounds. The arrival-ordered row store (compacted in place), the epoch
+//! accumulator, the flat packed posting blocks, the window-max deques and
+//! the owned scratch buffers reach their size and stay there.
 //!
 //! The binary installs a counting wrapper around the system allocator;
 //! this file intentionally contains a single `#[test]` so no concurrent
@@ -107,8 +107,15 @@ fn str_l2_steady_state_allocates_nothing() {
     // τ = ln(1/0.6)/0.05 ≈ 10.2 → ~41 live vectors at 4 records/unit.
     let exponential = Streaming::new(SssjConfig::new(0.6, 0.05), IndexKind::L2);
     assert_steady_state_allocates_nothing(exponential, &records);
-    let inv = Streaming::new(SssjConfig::new(0.6, 0.05), IndexKind::Inv);
-    assert_steady_state_allocates_nothing(inv, &records);
+    // STR-INV, STR-AP and STR-L2AP run the same list pass with other
+    // bounds; the AP kinds also keep the re-indexing inverted index,
+    // whose per-dimension ordinals drop their expired prefix on insert.
+    // (A dimension that never recurs keeps its stale ordinals; this
+    // stream's vocabulary recurs.)
+    for kind in [IndexKind::Inv, IndexKind::Ap, IndexKind::L2ap] {
+        let join = Streaming::new(SssjConfig::new(0.6, 0.05), kind);
+        assert_steady_state_allocates_nothing(join, &records);
+    }
     // τ = 25·(1 − 0.6) = 10, with the window-max bound on.
     let linear = DecaySpec::new(DecayModel::linear(25.0));
     assert_steady_state_allocates_nothing(Streaming::with_decay(0.6, linear), &records);

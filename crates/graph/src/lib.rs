@@ -78,7 +78,7 @@ pub mod graph;
 pub mod join;
 pub mod snapshot;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use sssj_core::{JoinSpec, SpecError, StreamJoin, WrapperSpec};
 
@@ -87,19 +87,37 @@ pub use join::{GraphDelta, GraphHandle, GraphJoin, GraphedEngine};
 pub use snapshot::GraphSnapshot;
 
 thread_local! {
-    /// The handle of the most recent graph built on this thread through
-    /// the spec hooks. `JoinSpec::build` type-erases its product, so the
-    /// hooks park each fresh handle here for [`build_with_handle`] to
-    /// collect — build is synchronous, making the slot race-free.
+    /// The handle of the graph an armed build made on this thread.
+    /// `JoinSpec::build` type-erases its product, so the hooks park the
+    /// fresh handle here for [`build_with_handle`] to collect — build is
+    /// synchronous, making the slot race-free.
     static LAST_HANDLE: RefCell<Option<GraphHandle>> = const { RefCell::new(None) };
+    /// One-shot arming for [`LAST_HANDLE`], set by [`build_with_handle`]
+    /// and [`stash_handle_on_next_build`] and consumed by the next graph
+    /// build on this thread. A plain `JoinSpec::build` finds it unarmed
+    /// and parks nothing, so no handle outlives the pipeline it belongs
+    /// to.
+    static STASH_NEXT: Cell<bool> = const { Cell::new(false) };
     /// One-shot arming for expired-edge capture, consumed by the next
     /// [`GraphHandle::new`] on this thread (see
     /// [`collect_expired_edges_on_next_build`]).
-    static COLLECT_NEXT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static COLLECT_NEXT: Cell<bool> = const { Cell::new(false) };
 }
 
 fn stash(handle: GraphHandle) {
-    LAST_HANDLE.with(|slot| *slot.borrow_mut() = Some(handle));
+    if STASH_NEXT.with(|armed| armed.replace(false)) {
+        LAST_HANDLE.with(|slot| *slot.borrow_mut() = Some(handle));
+    }
+}
+
+/// Arms the handle stash for the next graph built on this thread
+/// (one-shot): its handle is parked for [`take_stashed_handle`].
+/// Builders that *compose* the graph hooks call this before the build
+/// (the historical tier, whose graph is built inside
+/// `sssj_store::DurableJoin::open`).
+pub fn stash_handle_on_next_build() {
+    LAST_HANDLE.with(|slot| slot.borrow_mut().take());
+    STASH_NEXT.with(|armed| armed.set(true));
 }
 
 /// Arms expired-edge capture for the next graph built on this thread
@@ -117,14 +135,17 @@ pub(crate) fn take_collect_expired_arming() -> bool {
     COLLECT_NEXT.with(|c| c.replace(false))
 }
 
-/// Takes the handle stashed by the most recent graph build on this
-/// thread, if any. Builders that *compose* the graph hooks (the
+/// Takes the handle that the build armed by
+/// [`stash_handle_on_next_build`] parked, if any, and disarms the stash
+/// (so a build that failed before reaching the graph hook leaves no
+/// arming behind). Builders that *compose* the graph hooks (the
 /// historical tier drives [`sssj_store::DurableJoin`]: the graph is
 /// built inside `DurableJoin::open`, several layers below the caller)
 /// use this to recover the handle `build_with_handle` cannot reach.
 ///
 /// [`sssj_store::DurableJoin`]: https://docs.rs/sssj-store
 pub fn take_stashed_handle() -> Option<GraphHandle> {
+    STASH_NEXT.with(|armed| armed.set(false));
     LAST_HANDLE.with(|slot| slot.borrow_mut().take())
 }
 
@@ -174,11 +195,12 @@ pub fn build_with_handle(spec: &JoinSpec) -> Result<(Box<dyn StreamJoin>, GraphH
                 .into(),
         ));
     }
-    LAST_HANDLE.with(|slot| slot.borrow_mut().take());
-    let join = spec.build()?;
-    let handle = LAST_HANDLE
-        .with(|slot| slot.borrow_mut().take())
-        .expect("the graph hook stashes a handle for every graph build");
+    stash_handle_on_next_build();
+    let built = spec.build();
+    // Disarm even when the build failed before reaching the hook.
+    let handle = take_stashed_handle();
+    let join = built?;
+    let handle = handle.expect("the graph hook stashes a handle for every armed graph build");
     Ok((join, handle))
 }
 
@@ -199,6 +221,23 @@ mod tests {
         let mut join = spec.build().unwrap();
         assert_eq!(join.name(), "graph(STR-L2)");
         join.finish(&mut Vec::new());
+    }
+
+    #[test]
+    fn plain_build_parks_no_handle() {
+        register_spec_builder();
+        let spec: JoinSpec = "str-l2?theta=0.6&tau=10&graph".parse().unwrap();
+        let mut join = spec.build().unwrap();
+        join.finish(&mut Vec::new());
+        drop(join);
+        // Nothing keeps the dropped pipeline's graph alive.
+        assert!(LAST_HANDLE.with(|slot| slot.borrow().is_none()));
+        // The arming stays one-shot: a handle build still gets its own,
+        // and leaves nothing parked or armed behind.
+        let (join, _graph) = build_with_handle(&spec).unwrap();
+        assert!(LAST_HANDLE.with(|slot| slot.borrow().is_none()));
+        assert!(!STASH_NEXT.with(Cell::get));
+        drop(join);
     }
 
     #[test]

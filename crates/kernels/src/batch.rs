@@ -38,18 +38,26 @@ pub const POSTING_TIME: usize = 3;
 /// Per-dimension invariants of the STR L2 candidate loop, fixed across
 /// one posting-list traversal.
 ///
-/// An index without bounds (INV) runs the same loop with `xnorm_before =
-/// 0`, `rs2 = 1` and `theta_slack = −∞`: admission `1·df ≥ −∞` always
-/// holds and the prune threshold `−∞ − 0·pn·df` is −∞, so every posting
-/// is admitted and none is pruned. (`rs2 = ∞` would not do: a zero
-/// factor gives `∞·0 = NaN`, which refuses the posting.)
+/// An index without the ℓ2 bound (AP, INV) passes `xnorm_before = ∞`.
+/// Its prune threshold `θₛ − ∞·pn·df` is then `−∞` when `pn·df > 0` and
+/// `NaN` when `pn·df = 0` (`∞·0 = NaN`), and no score is below either:
+/// every lane compares `new < threshold` ordered (scalar `<`,
+/// `_CMP_LT_OQ` on AVX2 and AVX-512), which is false against `NaN` and
+/// against `−∞`. So it prunes nothing. AP admits on its `rs1` bound
+/// alone with `rs2 = ∞` (`∞·df ≥ θₛ` for every `df > 0`; a zero factor
+/// refuses the posting through `∞·0 = NaN`, which cannot lose a pair
+/// since its decayed score is 0) and vetoes with `rs2 = −∞`. INV also
+/// runs with `rs2 = 1` and `theta_slack = −∞`: admission `1·df ≥ −∞`
+/// always holds, so every posting is admitted. (`rs2 = ∞` would not do
+/// there: it refuses a posting whose factor is zero.)
 #[derive(Clone, Copy, Debug)]
 pub struct L2BatchParams {
     /// The query's weight on this dimension.
     pub xj: f64,
     /// The query's arrival time.
     pub now: f64,
-    /// `‖x‖` of the query prefix *before* this dimension.
+    /// `‖x‖` of the query prefix *before* this dimension; `∞` turns the
+    /// ℓ2 prune off (see above).
     pub xnorm_before: f64,
     /// The query's remaining-suffix norm on this dimension. `-∞` vetoes
     /// admission wholesale: `-∞·df ≥ θₛ` is false for every `df ≥ 0`
@@ -80,7 +88,7 @@ fn check_batch(raw: &[u64], outs: &[usize]) -> usize {
 /// `raw` is the packed-posting word stream; outputs are parallel arrays
 /// of at least `raw.len()/4` entries. Gaps `now − t` must not be NaN.
 ///
-/// No engine calls this: STR-L2 and the decay engine run
+/// No engine calls this: every index kind runs
 /// `ScoreAccumulator::accumulate_l2_list_rev`, which computes the same
 /// values four postings at a time ([`avx2::l2_lanes`]) or eight at a
 /// time on AVX-512, and applies them in registers. This array form stays

@@ -23,9 +23,10 @@ fn entry_count(words: &[u64], stride: usize, offset: usize) -> usize {
 /// expiry partition point of a time-ordered block.
 ///
 /// Equivalent to `partition_point(|e| e.t < cutoff)` when times are
-/// non-decreasing, but a forward scan: expiry batches are short (the
-/// engines call this on bounded chunks), so the branch-free 4-wide scan
-/// beats a binary search's mispredicts.
+/// non-decreasing, but a linear count from the front: expiry batches
+/// are short (the engines call this on bounded chunks), so the
+/// branch-free 4-wide count beats a binary search's mispredicts. It only
+/// reads the block; the caller cuts the counted prefix.
 pub fn partition_time_strided(words: &[u64], stride: usize, offset: usize, cutoff: f64) -> usize {
     let n = entry_count(words, stride, offset);
     match active_lane() {

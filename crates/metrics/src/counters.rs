@@ -28,7 +28,7 @@ pub struct JoinStats {
     /// Vectors whose residual was re-indexed after a max-vector increase
     /// (STR-L2AP only).
     pub reindexed_vectors: u64,
-    /// Posting entries appended out-of-order by re-indexing.
+    /// Posting entries inserted by re-indexing.
     pub reindexed_postings: u64,
     /// Peak number of live posting entries (memory proxy).
     pub peak_postings: u64,

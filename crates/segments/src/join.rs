@@ -84,19 +84,22 @@ impl HistoryJoin {
             .map_err(|e| SpecError::Invalid(format!("history dir {history_dir}: {e}")))?;
         history.set_fsync(opts.fsync);
 
-        // Drop any stale stash, then arm capture for the graph the
-        // durable open is about to build (possibly during replay).
-        sssj_graph::take_stashed_handle();
+        // Arm the handle stash and expired-edge capture for the graph
+        // the durable open is about to build (possibly during replay).
         if has_graph {
+            sssj_graph::stash_handle_on_next_build();
             sssj_graph::collect_expired_edges_on_next_build();
         }
         let mut bare = spec.clone();
         bare.wrappers.retain(|w| matches!(w, WrapperSpec::Graph));
-        let mut inner = DurableJoin::open(&bare, Path::new(&durable_dir), opts)
-            .map_err(|e| SpecError::Invalid(format!("durable store {durable_dir}: {e}")))?;
+        let opened = DurableJoin::open(&bare, Path::new(&durable_dir), opts);
+        // Disarm even when the open failed before building the graph.
+        let stashed = sssj_graph::take_stashed_handle();
+        let mut inner =
+            opened.map_err(|e| SpecError::Invalid(format!("durable store {durable_dir}: {e}")))?;
         let graph = if has_graph {
-            let handle = sssj_graph::take_stashed_handle()
-                .expect("the graph hook stashes a handle for every graph build");
+            let handle =
+                stashed.expect("the graph hook stashes a handle for every armed graph build");
             // Edges that expired while replay ran are waiting already.
             let drained = handle.take_expired();
             if !drained.is_empty() {
