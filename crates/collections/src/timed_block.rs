@@ -143,10 +143,10 @@ impl<P: TimedEntry> TimedBlock<P> {
         n
     }
 
-    /// Inserts `entry` before the live entry at `index` (`len()` appends),
-    /// shifting the newer ones up. The caller keeps times non-decreasing.
+    /// Inserts `entry` before the live entry at `index`, shifting the
+    /// newer ones up (`len()` appends; a larger index panics). The caller
+    /// keeps times non-decreasing.
     pub fn insert(&mut self, index: usize, entry: P) {
-        assert!(index <= self.len(), "insert past the live end");
         if self.buf.len() == self.buf.capacity() {
             self.reserve_more();
         }
